@@ -15,8 +15,6 @@ from .estimators import (
     RateEstimate,
     TranscriptStats,
     collect_stats,
-    estimate_leakage,
-    estimate_main_rate,
     estimate_rates,
 )
 from .model import ExplorationSchedule, ModelConfig, binary_entropy, compute_schedule
@@ -45,8 +43,6 @@ __all__ = [
     "bound_point",
     "collect_stats",
     "compute_schedule",
-    "estimate_leakage",
-    "estimate_main_rate",
     "estimate_rates",
     "exact_enumeration",
     "inner_bound",

@@ -10,6 +10,15 @@ the eavesdropper's feedback, only on the legitimate feedback stream.
 Both receivers see the same channel: output 1 iff the probed set contains
 their beam.  Feedback is noiseless with unit delay.
 
+State: the transmitter carries the set the last probe was drawn from as an
+ascending list of beam labels (the pool), plus that probe's labels.  On an
+exploration step or a post-detection miss the next pool is the old one with
+the probed labels deleted by bisection; on a hit it is the sorted probe.
+Each probe is ``rng.sample(pool, q)``.  The pool always equals the ascending
+member list of its set (what ``BeamSet.members()`` returns), so the draws,
+and with them every transcript, depend only on the set and the generator;
+no step walks all K bits of a mask to list members.
+
 Determinism: every block draws its randomness from a generator derived from
 (seed, block index) via ``numpy.random.SeedSequence``, so results do not
 depend on how blocks are partitioned across workers.
@@ -19,15 +28,16 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import ExplorationSchedule, ModelConfig
 
 
-@dataclass(frozen=True, slots=True)
-class BeamSet:
+class BeamSet(NamedTuple):
     """Subset of the K beams as a bit mask (bit b-1 <-> beam b)."""
 
     mask: int
@@ -39,15 +49,15 @@ class BeamSet:
         mask = 0
         for b in beams:
             mask |= 1 << (b - 1)
-        return cls(mask=mask, K=K, card=mask.bit_count())
+        return cls(mask, K, mask.bit_count())
 
     @classmethod
     def full(cls, K: int) -> "BeamSet":
-        return cls(mask=(1 << K) - 1, K=K, card=K)
+        return cls((1 << K) - 1, K, K)
 
     @classmethod
     def empty(cls, K: int) -> "BeamSet":
-        return cls(mask=0, K=K, card=0)
+        return cls(0, K, 0)
 
     def contains(self, beam: int) -> bool:
         return bool((self.mask >> (beam - 1)) & 1)
@@ -59,18 +69,20 @@ class BeamSet:
         return format(self.mask, "#x")
 
 
-@dataclass(frozen=True, slots=True)
-class PolicyState:
+class PolicyState(NamedTuple):
     """Transmitter-side state entering step ``step``.
 
-    ``candidate`` is the set the previous probe was drawn from (all K beams
-    before step 1), ``last_explored`` that previous probe, and
-    ``detection_time`` the step of the first legitimate hit, if any.
-    ``clamp_count`` counts probe sizes clamped to the candidate cardinality
-    (possible only with fractional schedules after flooring).
+    ``pool`` lists, in ascending order, the beams the previous probe was
+    drawn from (all K beams before step 1); ``probed`` holds that probe's
+    beams in draw order and ``last_explored`` the probe itself.
+    ``detection_time`` is the step of the first legitimate hit, if any.
+    ``clamp_count`` counts probe sizes clamped to the pool size (possible
+    only with fractional schedules after flooring).  ``pool`` is shared
+    between states and never mutated.
     """
 
-    candidate: BeamSet
+    pool: list[int]
+    probed: list[int]
     last_explored: BeamSet
     detection_time: int | None
     step: int
@@ -98,12 +110,7 @@ class BlockTranscript:
 
 
 def initial_policy_state(K: int) -> PolicyState:
-    return PolicyState(
-        candidate=BeamSet.full(K),
-        last_explored=BeamSet.empty(K),
-        detection_time=None,
-        step=1,
-    )
+    return PolicyState(list(range(1, K + 1)), [], BeamSet.empty(K), None, 1)
 
 
 def derive_block_seed(seed: int, index: int) -> int:
@@ -134,6 +141,14 @@ def channel_output(x: BeamSet, s: int) -> int:
     return 1 if x.contains(s) else 0
 
 
+def _without(pool: list[int], probed: list[int]) -> list[int]:
+    """Ascending ``pool`` minus ``probed`` (a subset of it), as a new list."""
+    rest = pool[:]
+    for b in probed:
+        del rest[bisect_left(rest, b)]
+    return rest
+
+
 def jcas_step(
     state: PolicyState,
     prev_feedback: tuple[int, int],
@@ -151,46 +166,31 @@ def jcas_step(
     (probe, next_state)
     """
     j = state.step
-    K = schedule.K
     y_prev = prev_feedback[0]
+    det = state.detection_time
 
     if j == 1:
-        cand_members = state.candidate.members()
-        cand = state.candidate
+        pool = state.pool
         q = schedule.c_int[0]
-        det: int | None = None
-    elif state.detection_time is None and y_prev == 0:
+    elif det is None and y_prev == 0:
         # Still exploring: drop the beams probed last step, take fresh ones.
-        mask = state.candidate.mask & ~state.last_explored.mask
-        cand = BeamSet(mask=mask, K=K, card=mask.bit_count())
-        cand_members = cand.members()
+        pool = _without(state.pool, state.probed)
         q = schedule.c_int[j - 1]
-        det = None
     else:
-        # Detected at k (possibly just now): narrow to the probed half on a
+        # Detected at det (possibly just now): narrow to the probed half on a
         # hit, to the unprobed rest on a miss, and probe half of what is left.
-        det = state.detection_time if state.detection_time is not None else j - 1
-        if y_prev == 1:
-            cand = state.last_explored
-        else:
-            mask = state.candidate.mask & ~state.last_explored.mask
-            cand = BeamSet(mask=mask, K=K, card=mask.bit_count())
-        cand_members = cand.members()
+        if det is None:
+            det = j - 1
+        pool = sorted(state.probed) if y_prev else _without(state.pool, state.probed)
         q = max(schedule.c_int[det - 1] >> (j - det), 1)
 
     clamp = state.clamp_count
-    if q > cand.card:
-        q = cand.card
+    if q > len(pool):
+        q = len(pool)
         clamp += 1
-    probe = BeamSet.from_beams(rng.sample(cand_members, q), K) if q else BeamSet.empty(K)
-    next_state = PolicyState(
-        candidate=cand,
-        last_explored=probe,
-        detection_time=det,
-        step=j + 1,
-        clamp_count=clamp,
-    )
-    return probe, next_state
+    picked = rng.sample(pool, q)
+    probe = BeamSet.from_beams(picked, schedule.K)
+    return probe, PolicyState(pool, picked, probe, det, j + 1, clamp)
 
 
 def simulate_block(
@@ -209,6 +209,8 @@ def simulate_block(
     drawn_l, drawn_e = draw_states(config.K, rng)
     s_l = drawn_l if s_l is None else s_l
     s_e = drawn_e if s_e is None else s_e
+    shift_l = s_l - 1
+    shift_e = s_e - 1
 
     budget = int(math.floor(config.B))
     state = initial_policy_state(config.K)
@@ -221,8 +223,8 @@ def simulate_block(
         probe, state = jcas_step(state, feedback, schedule, rng)
         if probe.card > budget:
             cost_ok = False
-        yl = channel_output(probe, s_l)
-        ye = channel_output(probe, s_e)
+        yl = (probe.mask >> shift_l) & 1
+        ye = (probe.mask >> shift_e) & 1
         probes.append(probe)
         y_l.append(yl)
         y_e.append(ye)

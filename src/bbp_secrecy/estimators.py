@@ -21,13 +21,14 @@ for any worker count.
 from __future__ import annotations
 
 import os
+import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import block_rng, simulate_block
+from .channel import simulate_block
 from .model import ExplorationSchedule, ModelConfig, binary_entropy, compute_schedule
 
 GROUPS = 100
@@ -113,16 +114,13 @@ def _collect_range(
         L=config.L, blocks=0, group_counts=[Counter() for _ in range(groups)]
     )
     total = config.blocks
-    seeds = np.random.SeedSequence(config.seed).generate_state(stop, np.uint64)
+    seeds = np.random.SeedSequence(config.seed).generate_state(stop, np.uint64)[start:].tolist()
     budget_violations = 0
     clamps = 0
-    dump = open(dump_path, "w") if dump_path else None
+    dump = open(dump_path, "w", encoding="utf-8") if dump_path else None
     try:
-        import random as _random
-
-        for i in range(start, stop):
-            rng = _random.Random(int(seeds[i]))
-            t = simulate_block(config, schedule, rng)
+        for i, word in enumerate(seeds, start):
+            t = simulate_block(config, schedule, random.Random(word))
             yl_bits = 0
             ye_bits = 0
             for j, (yl, ye) in enumerate(zip(t.y_l, t.y_e)):
@@ -145,6 +143,11 @@ def _collect_range(
             dump.close()
 
 
+def resolve_workers(requested: int, blocks: int) -> int:
+    """Worker processes to start: ``requested`` capped by the CPUs and blocks, at least 1."""
+    return max(1, min(requested, os.cpu_count() or 1, blocks))
+
+
 def collect_stats(
     config: ModelConfig,
     schedule: ExplorationSchedule | None = None,
@@ -153,15 +156,17 @@ def collect_stats(
 ) -> TranscriptStats:
     """Simulate ``config.blocks`` blocks and accumulate pattern counts.
 
-    ``workers`` defaults to the BBP_THREADS environment variable (else 1).
-    The result is independent of the worker count.  Transcript dumping
-    forces a single worker so the dump order is the block order.
+    ``workers`` defaults to the BBP_THREADS environment variable (else 1)
+    and is capped by :func:`resolve_workers`.  The result is independent of
+    the worker count.  Transcript dumping forces a single worker so the dump
+    order is the block order.
     """
     if config.blocks <= 0:
         raise ValueError("config.blocks must be positive for simulation")
     schedule = schedule or compute_schedule(config.K, config.B, config.L)
     if workers is None:
-        workers = max(1, int(os.environ.get("BBP_THREADS", "1")))
+        workers = int(os.environ.get("BBP_THREADS", "1"))
+    workers = resolve_workers(workers, config.blocks)
     groups = min(GROUPS, config.blocks)
     if dump_path is not None:
         workers = 1
@@ -196,20 +201,6 @@ def _rate_estimate(stats: TranscriptStats, which: str) -> RateEstimate:
     else:
         stderr = float("nan")
     return RateEstimate(value=value, stderr=stderr, blocks=stats.blocks)
-
-
-def estimate_main_rate(
-    config: ModelConfig, schedule: ExplorationSchedule | None = None, workers: int | None = None
-) -> RateEstimate:
-    """Estimate the legitimate entropy rate (1/L) sum_j H(Y_j^l | Y^{l,j-1})."""
-    return _rate_estimate(collect_stats(config, schedule, workers), "legit")
-
-
-def estimate_leakage(
-    config: ModelConfig, schedule: ExplorationSchedule | None = None, workers: int | None = None
-) -> RateEstimate:
-    """Estimate the eavesdropper entropy rate (1/L) sum_j H(Y_j^e | Y^{e,j-1})."""
-    return _rate_estimate(collect_stats(config, schedule, workers), "eav")
 
 
 def estimate_rates(

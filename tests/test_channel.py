@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -206,3 +207,35 @@ def test_transcript_dump_line_format():
         cost_ok=True,
     )
     assert tr.format_line() == "3 7 0x5,0x10 10 00"
+
+
+# SHA-256 of 2 000 transcripts per instance, recorded from the reference
+# simulator.  Block i of instance n runs on ``random.Random(word_i)`` with the
+# words of ``SeedSequence(1000 + n)``; a line is ``format_line()`` followed by
+# the clamp count and cost flag.  Any change to the policy's random stream,
+# probe sets, feedback or counters changes the digest.
+GOLDEN_STREAMS = [
+    ((32, 8, 5), "a4941b4a8313986fddb2f3e645055698c88283a10b98583d43873e73f3583278"),
+    ((256, 16, 12), "8bef4fe629823e9dfac4d458add7eaf40024f5ae8f5f2c5f98776e2f04dd19a0"),
+    ((8, 2, 4), "d8d5d4a452fb8110da682c8d2f9938960319f545c73d5007cf460c36284f1a64"),
+    ((2, 1, 2), "8fe69dcb246ad61edc883e7ae1203f6660833b7fc5865594ad57c46d1e5c98ac"),
+    ((16, 4, 3), "0e2dd4e3cd92a60172be042ecc1a8b6b56bb057707896adf22c9d64ba1cf54b8"),
+    ((5, 1.5, 6), "2229da742064aef406bff22909068309bb3389d5d22da0a69fa68c4988c0291d"),
+    ((64, 3.7, 9), "20b5b4a2484629e446a90ab759e11256c64380a012f15e70a1f51da597326bbe"),
+    ((4, 1, 3), "759cb2dbeb5b4e40deaa9a801b781567f8ffaf46d68e61ff36e395a46093a77e"),
+    ((1000, 7.3, 20), "24abae77e24121c7fd08fa23ba3ff0361a8f98a4c1f431a905a12e112a456616"),
+    ((3, 1, 5), "7077afc09fe51533f8af0230f0afd5bc42c5a500a0ce1686c44b7c8d198317f7"),
+]
+
+
+@pytest.mark.parametrize("n", range(len(GOLDEN_STREAMS)))
+def test_random_stream_matches_golden_digest(n):
+    (K, B, L), digest = GOLDEN_STREAMS[n]
+    cfg = ModelConfig(K=K, L=L, B=B, seed=1000 + n)
+    sched = compute_schedule(K, B, L)
+    words = np.random.SeedSequence(cfg.seed).generate_state(2000, np.uint64).tolist()
+    lines = []
+    for word in words:
+        tr = simulate_block(cfg, sched, random.Random(word))
+        lines.append(f"{tr.format_line()} {tr.clamp_count} {int(tr.cost_ok)}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import math
+import os
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from bbp_secrecy.estimators import (
     TranscriptStats,
     collect_stats,
     estimate_rates,
+    resolve_workers,
     unseen_table_prefixes,
 )
 from bbp_secrecy.model import ModelConfig, binary_entropy
@@ -30,6 +32,17 @@ def test_worker_count_does_not_change_counts():
     assert one.blocks == three.blocks == 3000
     assert one.cost_violations == three.cost_violations
     assert one.clamped_probes == three.clamped_probes
+
+
+def test_worker_request_is_capped_by_cpus_and_blocks(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert resolve_workers(10**6, 10**9) == 4
+    assert resolve_workers(3, 10**9) == 3
+    assert resolve_workers(4, 2) == 2
+    assert resolve_workers(0, 100) == 1
+    assert resolve_workers(-5, 100) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_workers(8, 100) == 1
 
 
 def test_merge_requires_matching_shape():
