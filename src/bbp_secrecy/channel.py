@@ -73,8 +73,8 @@ class PolicyState(NamedTuple):
     """Transmitter-side state entering step ``step``.
 
     ``pool`` lists, in ascending order, the beams the previous probe was
-    drawn from (all K beams before step 1); ``probed`` holds that probe's
-    beams in draw order and ``last_explored`` the probe itself.
+    drawn from (all K beams before step 1) and ``probed`` that probe's
+    beams in draw order.
     ``detection_time`` is the step of the first legitimate hit, if any.
     ``clamp_count`` counts probe sizes clamped to the pool size (possible
     only with fractional schedules after flooring).  ``pool`` is shared
@@ -83,7 +83,6 @@ class PolicyState(NamedTuple):
 
     pool: list[int]
     probed: list[int]
-    last_explored: BeamSet
     detection_time: int | None
     step: int
     clamp_count: int = 0
@@ -110,7 +109,7 @@ class BlockTranscript:
 
 
 def initial_policy_state(K: int) -> PolicyState:
-    return PolicyState(list(range(1, K + 1)), [], BeamSet.empty(K), None, 1)
+    return PolicyState(list(range(1, K + 1)), [], None, 1)
 
 
 def derive_block_seed(seed: int, index: int) -> int:
@@ -190,7 +189,7 @@ def jcas_step(
         clamp += 1
     picked = rng.sample(pool, q)
     probe = BeamSet.from_beams(picked, schedule.K)
-    return probe, PolicyState(pool, picked, probe, det, j + 1, clamp)
+    return probe, PolicyState(pool, picked, det, j + 1, clamp)
 
 
 def simulate_block(

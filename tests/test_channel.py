@@ -67,7 +67,7 @@ def test_first_probe_uses_first_schedule_entry():
     probe, state = jcas_step(initial_policy_state(32), (0, 0), sched, random.Random(0))
     assert probe.card == 8
     assert state.step == 2
-    assert state.last_explored == probe
+    assert sorted(state.probed) == probe.members()
     assert state.detection_time is None
 
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from bbp_secrecy import cli
@@ -169,6 +171,9 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
 
 
 def test_worker_env_var_does_not_change_output(tmp_path, capsys, monkeypatch):
+    # Three workers split at block 133, inside batch-means group 33 (blocks
+    # 132..135); enough CPUs are reported that the worker cap keeps all three.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     args = ("simulate", "--K", "8", "--B", "2", "--L", "2", "--seed", "2", "--blocks", "400")
     rc, base, _ = run(capsys, *args)
     assert rc == 0

@@ -23,8 +23,13 @@ def test_zero_blocks_rejected():
         collect_stats(ModelConfig(K=8, L=2, B=2, seed=0, blocks=0))
 
 
-def test_worker_count_does_not_change_counts():
+def test_worker_count_does_not_change_counts(monkeypatch):
+    # Three workers split at block 1000, inside batch-means group 33
+    # (blocks 990..1019), so merge() must add a group counted in two parts.
+    # Report enough CPUs that the worker cap does not lower the request.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     cfg = ModelConfig(K=8, L=3, B=2, seed=17, blocks=3000)
+    assert resolve_workers(3, cfg.blocks) == 3
     one = collect_stats(cfg, workers=1)
     three = collect_stats(cfg, workers=3)
     assert one.pattern_counts == three.pattern_counts
