@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Cross-check the closed forms against exact enumeration on every small case.
+"""Cross-check the closed forms against exact enumeration on seven small cases.
 
-Runs the ``verify`` subcommand over the instances the enumeration oracle
-accepts and prints each report.  Exits with the worst per-case status, so a
-nonzero exit means at least one closed form disagrees with the exact law
-(expected for L >= 3; see README).
+Runs the ``verify`` subcommand on the fixed ``CASES`` list, (4, 1, L) for
+L <= 3 and (8, 2, L) for L <= 4, not on every instance the enumeration
+oracle accepts, and prints each report.  Exits with the worst per-case
+status, so a nonzero exit means at least one closed form disagrees with the
+exact law (expected for L >= 3; see README).
 """
 import sys
 

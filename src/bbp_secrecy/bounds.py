@@ -75,20 +75,15 @@ class PrefixProbabilityTable:
     t3_variant: str
     entries: dict[tuple[int, int], PrefixEntry]
 
-    def leakage_from_table(self) -> float:
-        """Re-derive the leakage rate by summing mass * H(flip) per step.
 
-        Only the entries appearing in the closed-form sum contribute: the
-        all-zero prefix, the single-trailing-one prefix, and deep prefixes
-        with k >= 1.  Deep entries with k = 0 are tabulated for completeness
-        but carry no term in the leakage expression.
-        """
-        total = 0.0
-        for (j, k), e in self.entries.items():
-            if e.kind == "post_detection" and k == 0:
-                continue
-            total += e.mass * binary_entropy(e.flip)
-        return total / self.L
+def _share(c: float, rem: float) -> float:
+    """c / rem, taking 0 / 0 as 0.
+
+    For long blocks the float sum of the schedule reaches K, and from then on
+    both c and rem are exactly 0; every term that uses the share then has
+    weight rem = 0 or c = 0, so its value does not count.
+    """
+    return c / rem if rem else 0.0
 
 
 def _deep_mass(K: int, sched: ExplorationSchedule, j: int, k: int, t3_variant: str) -> float:
@@ -122,7 +117,7 @@ def prefix_probability_table(
             elif k == j - 2:
                 rem = K - sched.cum_before(j - 1)
                 mass = sched.c[j - 2] * rem / K**2
-                flip = 0.5 * sched.c[j - 2] / rem
+                flip = 0.5 * _share(sched.c[j - 2], rem)
                 kind = "just_hit"
             else:
                 mass = _deep_mass(K, sched, j, k, t3_variant)
@@ -144,7 +139,7 @@ def main_step_entropies(K: int, B: float, L: int) -> list[float]:
     for j in range(1, L + 1):
         cumr = sched.cum_before(j)
         rem = K - cumr
-        out.append((rem / K) * binary_entropy(sched.c[j - 1] / rem) + cumr / K)
+        out.append((rem / K) * binary_entropy(_share(sched.c[j - 1], rem)) + cumr / K)
     return out
 
 
@@ -173,7 +168,7 @@ def leakage_rate(K: int, B: float, L: int, t3_variant: str = "as_printed") -> fl
         if j >= 2:
             rem2 = K - sched.cum_before(j - 1)
             total += (sched.c[j - 2] * rem2 / K**2) * binary_entropy(
-                0.5 * sched.c[j - 2] / rem2
+                0.5 * _share(sched.c[j - 2], rem2)
             )
         for k in range(1, j - 2):
             # H(1/2) = 1, so deep prefixes contribute their mass directly.

@@ -112,18 +112,15 @@ def initial_policy_state(K: int) -> PolicyState:
     return PolicyState(list(range(1, K + 1)), [], None, 1)
 
 
-def derive_block_seed(seed: int, index: int) -> int:
-    """Stable 64-bit per-block seed; partition-independent by construction.
+def block_seeds(seed: int, start: int, stop: int) -> list[int]:
+    """64-bit seeds of blocks [start, stop); partition-independent by construction.
 
-    Block ``index`` gets word ``index`` of the ``SeedSequence(seed)`` output
-    stream, so batch generation over any contiguous range agrees with
-    one-at-a-time derivation.
+    Block ``i`` gets word ``i`` of the ``SeedSequence(seed)`` output stream,
+    so any split of a block range into contiguous pieces gives the same
+    seeds.  The stream cannot start at an offset: the first ``stop`` words
+    are generated and the leading ``start`` dropped.
     """
-    return int(np.random.SeedSequence(seed).generate_state(index + 1, np.uint64)[index])
-
-
-def block_rng(seed: int, index: int) -> random.Random:
-    return random.Random(derive_block_seed(seed, index))
+    return np.random.SeedSequence(seed).generate_state(stop, np.uint64)[start:].tolist()
 
 
 def draw_states(K: int, rng: random.Random) -> tuple[int, int]:

@@ -70,22 +70,6 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str], converters: dict) -> None:
-    """Fill args from the config file for flags not given on the command line."""
-    if not getattr(args, "config", None):
-        return
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    for key, raw in _load_config_file(args.config).items():
-        if key not in converters:
-            raise ValueError(f"unknown config key: {key}")
-        if key in explicit:
-            continue
-        setattr(args, key, converters[key](raw))
-
-
 def _schedule_or_die(K: int, B: float, L: int):
     # ModelConfig carries the validation rules; reuse them for plain queries.
     ModelConfig(K=K, L=L, B=B)
@@ -189,27 +173,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-def build_parser(require_flags: bool = True) -> _Parser:
+def build_parser() -> _Parser:
     """Build the CLI parser.
 
-    ``require_flags=False`` defers the required-option check to ``main`` so a
-    ``--config`` file may supply K/B/L; the check then runs after the merge.
+    No option is argparse-required, so that a ``--config`` file may supply
+    K/B/L; ``main`` checks a subcommand's ``_required`` options after the
+    file is merged.
     """
     parser = _Parser(prog="bbp-secrecy", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, converters, required=()):
+    def add_command(name, func, summary, point=True):
+        p = sub.add_parser(name, help=summary)
+        if point:
+            p.add_argument("--K", type=int, help="number of beams")
+            p.add_argument("--B", type=float, help="per-symbol cost budget")
+            p.add_argument("--L", type=int, help="channel uses per block")
         p.add_argument("--config", help="key=value file; flags take precedence")
-        p.set_defaults(_converters=converters, _required=required)
+        p.set_defaults(_func=func, _required=("K", "B", "L") if point else (), _parser=p)
+        return p
 
-    p = sub.add_parser("bounds", help="closed-form bounds at one (K, B, L)")
-    p.add_argument("--K", type=int, required=require_flags, help="number of beams")
-    p.add_argument("--B", type=float, required=require_flags, help="per-symbol cost budget")
-    p.add_argument("--L", type=int, required=require_flags, help="channel uses per block")
-    add_common(p, {"K": int, "B": float, "L": int}, required=("K", "B", "L"))
-    p.set_defaults(func=cmd_bounds)
+    add_command("bounds", cmd_bounds, "closed-form bounds at one (K, B, L)")
 
-    p = sub.add_parser("sweep", help="CSV of bound points over a B range")
+    p = add_command("sweep", cmd_sweep, "CSV of bound points over a B range", point=False)
     p.add_argument("--K", type=int, default=32)
     p.add_argument(
         "--L", type=_parse_l_list, default=[2, 5, 8, 12], help="comma-separated list"
@@ -218,23 +204,8 @@ def build_parser(require_flags: bool = True) -> _Parser:
     p.add_argument("--B-stop", type=float, default=32.0, dest="B_stop")
     p.add_argument("--B-step", type=float, default=1.0, dest="B_step")
     p.add_argument("--out", default="sweep.csv", help="output CSV path")
-    add_common(
-        p,
-        {
-            "K": int,
-            "L": _parse_l_list,
-            "B_start": float,
-            "B_stop": float,
-            "B_step": float,
-            "out": str,
-        },
-    )
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimates vs closed forms")
-    p.add_argument("--K", type=int, required=require_flags)
-    p.add_argument("--B", type=float, required=require_flags)
-    p.add_argument("--L", type=int, required=require_flags)
+    p = add_command("simulate", cmd_simulate, "Monte Carlo estimates vs closed forms")
     p.add_argument("--blocks", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -243,44 +214,34 @@ def build_parser(require_flags: bool = True) -> _Parser:
         metavar="PATH",
         help="write one transcript per line to PATH",
     )
-    add_common(
-        p,
-        {
-            "K": int,
-            "B": float,
-            "L": int,
-            "blocks": int,
-            "seed": int,
-            "dump_transcripts": str,
-        },
-        required=("K", "B", "L"),
-    )
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="exact-enumeration check of the closed forms")
-    p.add_argument("--K", type=int, required=require_flags)
-    p.add_argument("--B", type=float, required=require_flags)
-    p.add_argument("--L", type=int, required=require_flags)
-    add_common(p, {"K": int, "B": float, "L": int}, required=("K", "B", "L"))
-    p.set_defaults(func=cmd_verify)
+    add_command("verify", cmd_verify, "exact-enumeration check of the closed forms")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    has_config = any(t == "--config" or t.startswith("--config=") for t in argv)
-    parser = build_parser(require_flags=not has_config)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, argv, args._converters)
-        missing = [k for k in args._required if getattr(args, k, None) is None]
+        if args.config:
+            # File values become the subcommand's defaults: argparse then
+            # converts them with each option's type, and flags still win.
+            options = {k for k in vars(args) if not k.startswith("_")} - {"command", "config"}
+            values = _load_config_file(args.config)
+            for key in values:
+                if key not in options:
+                    raise ValueError(f"unknown config key: {key}")
+            args._parser.set_defaults(**values)
+            args = parser.parse_args(argv)
+        missing = [k for k in args._required if getattr(args, k) is None]
         if missing:
-            parser.error(
+            args._parser.error(
                 "the following arguments are required: "
                 + ", ".join(f"--{k}" for k in missing)
             )
-        return args.func(args)
+        return args._func(args)
     except GuardRailError as exc:
         print(f"bbp-secrecy: refused: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,11 +6,12 @@ prefix does not depend on the state value; conditioning on the state adds
 nothing, and the estimators pool all blocks into per-prefix counts instead
 of stratifying by state.
 
-The block transcripts are reduced to a pair of L-bit patterns (y_l, y_e),
-counted in a dictionary; every prefix statistic is derived from those
-pattern counts.  Standard errors come from batch means: blocks are split
-into ``GROUPS`` contiguous groups, the plug-in rate is recomputed per group,
-and the standard error is the group standard deviation divided by
+The block transcripts are reduced to a pair of packed L-bit patterns
+(y_l, y_e), counted in a dictionary; every prefix statistic is derived from
+those pattern counts by ``model.prefix_cells``, the same code the exact
+oracle runs on its law.  Standard errors come from batch means: blocks are
+split into ``GROUPS`` contiguous groups, the plug-in rate is recomputed per
+group, and the standard error is the group standard deviation divided by
 sqrt(GROUPS).
 
 Parallelism: blocks are sharded into contiguous ranges; each block draws
@@ -28,8 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import simulate_block
-from .model import ExplorationSchedule, ModelConfig, binary_entropy, compute_schedule
+from .channel import block_seeds, simulate_block
+from .model import ExplorationSchedule, ModelConfig, compute_schedule
+from .model import pack_bits, prefix_cells, step_entropies
 
 GROUPS = 100
 
@@ -60,36 +62,21 @@ class TranscriptStats:
         self.clamped_probes += other.clamped_probes
         self.cost_violations += other.cost_violations
 
-    def prefix_stats(self, which: str, j: int) -> dict[int, tuple[int, int]]:
-        """Per-prefix (count, ones) for step j of stream ``"legit"``/``"eav"``.
+    def prefix_stats(self, which: str, j: int) -> dict[int, list[int]]:
+        """Per-prefix [count, ones] for step j of stream ``"legit"``/``"eav"``.
 
         Keys are the first j-1 feedback bits packed as an integer.
         """
-        return _prefix_stats(self.pattern_counts, which, j)
+        stream = 0 if which == "legit" else 1
+        return prefix_cells(self.pattern_counts, stream, j)[j - 1]
 
 
-def _prefix_stats(counts: Counter, which: str, j: int) -> dict[int, tuple[int, int]]:
-    sel = 0 if which == "legit" else 1
-    mask = (1 << (j - 1)) - 1
-    out: dict[int, list[int]] = {}
-    for pattern, n in counts.items():
-        bits = pattern[sel]
-        entry = out.setdefault(bits & mask, [0, 0])
-        entry[0] += n
-        entry[1] += n * ((bits >> (j - 1)) & 1)
-    return {k: (v[0], v[1]) for k, v in out.items()}
-
-
-def _plug_in_rate(counts: Counter, which: str, L: int) -> float:
+def _plug_in_rate(counts: Counter, stream: int, L: int) -> float:
     """Plug-in estimate of (1/L) sum_j H(Y_j | Y^{j-1}) from pattern counts."""
     total = sum(counts.values())
     if total == 0:
         raise ValueError("no blocks accumulated")
-    acc = 0.0
-    for j in range(1, L + 1):
-        for n, ones in _prefix_stats(counts, which, j).values():
-            acc += (n / total) * binary_entropy(ones / n)
-    return acc / L
+    return sum(step_entropies(prefix_cells(counts, stream, L), total)) / L
 
 
 @dataclass(frozen=True)
@@ -114,19 +101,14 @@ def _collect_range(
         L=config.L, blocks=0, group_counts=[Counter() for _ in range(groups)]
     )
     total = config.blocks
-    seeds = np.random.SeedSequence(config.seed).generate_state(stop, np.uint64)[start:].tolist()
+    seeds = block_seeds(config.seed, start, stop)
     budget_violations = 0
     clamps = 0
     dump = open(dump_path, "w", encoding="utf-8") if dump_path else None
     try:
         for i, word in enumerate(seeds, start):
             t = simulate_block(config, schedule, random.Random(word))
-            yl_bits = 0
-            ye_bits = 0
-            for j, (yl, ye) in enumerate(zip(t.y_l, t.y_e)):
-                yl_bits |= yl << j
-                ye_bits |= ye << j
-            key = (yl_bits, ye_bits)
+            key = (pack_bits(t.y_l), pack_bits(t.y_e))
             stats.pattern_counts[key] += 1
             stats.group_counts[i * groups // total][key] += 1
             if not t.cost_ok:
@@ -191,10 +173,10 @@ def collect_stats(
     return merged
 
 
-def _rate_estimate(stats: TranscriptStats, which: str) -> RateEstimate:
-    value = _plug_in_rate(stats.pattern_counts, which, stats.L)
+def _rate_estimate(stats: TranscriptStats, stream: int) -> RateEstimate:
+    value = _plug_in_rate(stats.pattern_counts, stream, stats.L)
     group_rates = [
-        _plug_in_rate(c, which, stats.L) for c in stats.group_counts if c
+        _plug_in_rate(c, stream, stats.L) for c in stats.group_counts if c
     ]
     if len(group_rates) >= 2:
         stderr = float(np.std(group_rates, ddof=1) / np.sqrt(len(group_rates)))
@@ -211,7 +193,7 @@ def estimate_rates(
 ) -> tuple[RateEstimate, RateEstimate, TranscriptStats]:
     """One simulation pass giving (main rate, leakage, raw stats)."""
     stats = collect_stats(config, schedule, workers, dump_path)
-    return _rate_estimate(stats, "legit"), _rate_estimate(stats, "eav"), stats
+    return _rate_estimate(stats, 0), _rate_estimate(stats, 1), stats
 
 
 def unseen_table_prefixes(stats: TranscriptStats, table) -> list[tuple[int, str]]:
@@ -220,10 +202,9 @@ def unseen_table_prefixes(stats: TranscriptStats, table) -> list[tuple[int, str]
     Unseen prefixes contribute zero to the plug-in rates; callers may want
     to log them when comparing against the closed forms.
     """
-    missing = []
-    for (j, _k), entry in sorted(table.entries.items()):
-        seen = _prefix_stats(stats.pattern_counts, "eav", j)
-        bits = int(entry.prefix[::-1], 2) if entry.prefix else 0
-        if bits not in seen:
-            missing.append((j, entry.prefix))
-    return missing
+    seen = prefix_cells(stats.pattern_counts, 1, stats.L)
+    return [
+        (j, entry.prefix)
+        for (j, _k), entry in sorted(table.entries.items())
+        if pack_bits(int(ch) for ch in entry.prefix) not in seen[j - 1]
+    ]

@@ -14,6 +14,11 @@ step while the legitimate beam is still unknown:
 
 The schedule is real-valued; ``c_int`` floors each entry to the subset size
 actually probed by the simulator.
+
+A block's feedback is a pair of L-bit patterns (y_l, y_e), each packed into
+an integer.  ``prefix_cells`` and ``step_entropies`` give the per-prefix
+statistics of a law over such pairs, for the Monte Carlo counts and the
+exact ``Fraction`` law alike.
 """
 
 from __future__ import annotations
@@ -35,6 +40,51 @@ def binary_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def pack_bits(bits) -> int:
+    """Pack a bit sequence into an integer, step j (1-based) in bit j-1."""
+    packed = 0
+    for j, bit in enumerate(bits):
+        packed |= bit << j
+    return packed
+
+
+def prefix_cells(law, stream: int, L: int) -> list[dict[int, list]]:
+    """Per-step ``[mass, ones]`` cell of every feedback prefix of one stream.
+
+    ``law`` maps packed (y_l, y_e) pairs to integer counts or ``Fraction``
+    probabilities; ``stream`` selects y_l (0) or y_e (1).  Entry j-1 maps
+    each packed (j-1)-bit prefix to the weight of the patterns that start
+    with it and the weight of those among them with bit j set, in the order
+    the prefixes first occur in ``law``.
+    """
+    cells: list[dict[int, list]] = [{} for _ in range(L)]
+    masks = [(1 << j) - 1 for j in range(L)]
+    for pattern, weight in law.items():
+        bits = pattern[stream]
+        for j in range(L):
+            cell = cells[j].setdefault(bits & masks[j], [0, 0])
+            cell[0] += weight
+            if bits >> j & 1:
+                cell[1] += weight
+    return cells
+
+
+def step_entropies(cells: list[dict[int, list]], total) -> list[float]:
+    """Plug-in H(Y_j | Y^{j-1}) per step from :func:`prefix_cells` output.
+
+    Each step sums P(prefix) * h(P(Y_j = 1 | prefix)) over its cells, with
+    P(prefix) = mass / ``total``.
+    """
+    out = []
+    for step in cells:
+        h = 0.0
+        for mass, ones in step.values():
+            if mass:
+                h += float(mass / total) * binary_entropy(float(ones / mass))
+        out.append(h)
+    return out
 
 
 @dataclass(frozen=True)

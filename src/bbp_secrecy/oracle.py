@@ -6,7 +6,8 @@ the feedback pair (y_l, y_e).  Beam-label exchangeability reduces the state
 average to two cases: coincident states (weight 1/K) and a fixed distinct
 pair (weight (K-1)/K).  The policy transition is re-implemented here on
 purpose — the enumeration must stay independent of the simulator it is used
-to check.
+to check.  The statistics of the law (prefix cells, step entropies) are not:
+they come from ``model``, shared with the Monte Carlo estimators.
 
 ``verify_against_closed_forms`` compares the enumerated law against the
 closed-form per-step entropies, every tabulated prefix mass/flip
@@ -32,6 +33,7 @@ from .bounds import (
     prefix_probability_table,
 )
 from .model import ExplorationSchedule, binary_entropy, compute_schedule
+from .model import pack_bits, prefix_cells, step_entropies
 
 MAX_K = 8
 MAX_L = 4
@@ -98,21 +100,6 @@ def _enumerate_case(K: int, c_int: tuple[int, ...], L: int, s_l: int, s_e: int) 
     return law
 
 
-def _step_stats(law: dict, sel: int, L: int) -> list[dict]:
-    """Per-step prefix masses and hit masses for one feedback stream."""
-    out = []
-    for j in range(1, L + 1):
-        acc: dict[tuple[int, ...], list[Fraction]] = {}
-        for (yl, ye), p in law.items():
-            y = (yl, ye)[sel]
-            entry = acc.setdefault(y[: j - 1], [Fraction(0), Fraction(0)])
-            entry[0] += p
-            if y[j - 1]:
-                entry[1] += p
-        out.append(acc)
-    return out
-
-
 @dataclass
 class EnumerationResult:
     """Exact transcript law plus the derived rate quantities."""
@@ -127,8 +114,7 @@ class EnumerationResult:
     leakage_steps: list[float]
     mixed_mass_10: Fraction
     mixed_mass_01: Fraction
-    _legit_stats: list[dict] = field(repr=False, default_factory=list)
-    _eav_stats: list[dict] = field(repr=False, default_factory=list)
+    _eav_cells: list[dict] = field(repr=False, default_factory=list)
 
     @property
     def main_rate(self) -> float:
@@ -139,13 +125,13 @@ class EnumerationResult:
         return sum(self.leakage_steps) / self.L
 
     def prefix_mass(self, j: int, prefix: tuple[int, ...]) -> Fraction:
-        return self._eav_stats[j - 1].get(prefix, [Fraction(0), Fraction(0)])[0]
+        return self._eav_cells[j - 1].get(pack_bits(prefix), [Fraction(0)])[0]
 
     def prefix_flip(self, j: int, prefix: tuple[int, ...]) -> Fraction | None:
-        mass, ones = self._eav_stats[j - 1].get(prefix, (Fraction(0), Fraction(0)))
-        if mass == 0:
+        cell = self._eav_cells[j - 1].get(pack_bits(prefix))
+        if cell is None:
             return None
-        return ones / mass
+        return cell[1] / cell[0]
 
     def deep_prefix_sum(self) -> float:
         """Entropy contribution of the prefixes 0^k 1^(j-1-k), k in [1, j-3].
@@ -183,18 +169,8 @@ def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
             law[key] = law.get(key, Fraction(0)) + w * p
 
     total = sum(law.values(), Fraction(0))
-    legit_stats = _step_stats(law, 0, L)
-    eav_stats = _step_stats(law, 1, L)
-
-    def entropies(stats):
-        out = []
-        for acc in stats:
-            h = 0.0
-            for mass, ones in acc.values():
-                if mass:
-                    h += float(mass) * binary_entropy(float(ones / mass))
-            out.append(h)
-        return out
+    packed = {(pack_bits(yl), pack_bits(ye)): p for (yl, ye), p in law.items()}
+    eav_cells = prefix_cells(packed, 1, L)
 
     mixed_10 = Fraction(0)
     mixed_01 = Fraction(0)
@@ -215,12 +191,11 @@ def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
         schedule=sched,
         law=law,
         total_mass=total,
-        main_steps=entropies(legit_stats),
-        leakage_steps=entropies(eav_stats),
+        main_steps=step_entropies(prefix_cells(packed, 0, L), total),
+        leakage_steps=step_entropies(eav_cells, total),
         mixed_mass_10=mixed_10,
         mixed_mass_01=mixed_01,
-        _legit_stats=legit_stats,
-        _eav_stats=eav_stats,
+        _eav_cells=eav_cells,
     )
 
 

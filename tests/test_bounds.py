@@ -12,7 +12,7 @@ from bbp_secrecy.bounds import (
     outer_bound,
     prefix_probability_table,
 )
-from bbp_secrecy.model import binary_entropy
+from bbp_secrecy.model import binary_entropy, compute_schedule
 
 H4 = binary_entropy(0.25)
 H8 = binary_entropy(0.125)
@@ -159,11 +159,31 @@ def test_bound_ordering(K, B, L):
     assert pt.inner == max(0.0, pt.inner_raw)
 
 
+@pytest.mark.parametrize("K,B,L", [(8, 2, 60), (32, 8, 100)])
+def test_bounds_defined_once_schedule_uses_up_all_beams(K, B, L):
+    # After a few dozen halvings the float sum of the schedule equals K, so
+    # the remaining pool and the step share are both exactly 0.
+    sched = compute_schedule(K, B, L)
+    assert sched.cum[-2] == K and sched.c[-1] == 0.0
+    pt = bound_point(K, B, L)
+    assert 0.0 <= pt.inner <= pt.outer <= 1.0
+    assert main_step_entropies(K, B, L)[-1] == 1.0
+    table = prefix_probability_table(K, B, L)
+    assert table.entries[(L, L - 2)].mass == 0.0
+
+
 @pytest.mark.parametrize("variant", T3_VARIANTS)
 @pytest.mark.parametrize("K,B,L", [(8, 2, 3), (8, 2, 4), (32, 8, 5), (32, 8, 12), (16, 4, 6)])
 def test_leakage_matches_table_sum(K, B, L, variant):
+    # The leakage sum has a term for every tabulated entry except the deep
+    # prefixes with k = 0, which are tabulated for completeness only.
     table = prefix_probability_table(K, B, L, t3_variant=variant)
-    assert table.leakage_from_table() == pytest.approx(
+    total = sum(
+        e.mass * binary_entropy(e.flip)
+        for (j, k), e in table.entries.items()
+        if not (e.kind == "post_detection" and k == 0)
+    )
+    assert total / L == pytest.approx(
         leakage_rate(K, B, L, t3_variant=variant), abs=1e-12
     )
 

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from bbp_secrecy.channel import (
     BeamSet,
     BlockTranscript,
-    block_rng,
+    block_seeds,
     channel_output,
-    derive_block_seed,
     draw_states,
     initial_policy_state,
     jcas_step,
@@ -75,8 +74,8 @@ def test_exploration_probes_are_disjoint_until_detection():
     cfg = ModelConfig(K=32, L=5, B=8, seed=11)
     sched = compute_schedule(32, 8, 5)
     seen = 0
-    for i in range(300):
-        tr = simulate_block(cfg, sched, block_rng(cfg.seed, i))
+    for word in block_seeds(cfg.seed, 0, 300):
+        tr = simulate_block(cfg, sched, random.Random(word))
         upto = tr.y_l.index(1) + 1 if 1 in tr.y_l else len(tr.y_l)
         mask = 0
         for j in range(upto):
@@ -93,8 +92,8 @@ def test_bisection_resolves_to_the_legitimate_beam():
     cfg = ModelConfig(K=8, L=4, B=2, seed=3)
     sched = compute_schedule(8, 2, 4)
     hits = 0
-    for i in range(400):
-        tr = simulate_block(cfg, sched, block_rng(cfg.seed, i))
+    for word in block_seeds(cfg.seed, 0, 400):
+        tr = simulate_block(cfg, sched, random.Random(word))
         if tr.y_l[0] != 1:
             continue
         hits += 1
@@ -117,8 +116,8 @@ def test_post_detection_probe_sizes_halve():
     cfg = ModelConfig(K=32, L=5, B=8, seed=5)
     sched = compute_schedule(32, 8, 5)
     found = 0
-    for i in range(200):
-        tr = simulate_block(cfg, sched, block_rng(cfg.seed, i))
+    for word in block_seeds(cfg.seed, 0, 200):
+        tr = simulate_block(cfg, sched, random.Random(word))
         if tr.y_l[0] == 1:
             assert [p.card for p in tr.probes] == [8, 4, 2, 1, 1]
             found += 1
@@ -137,11 +136,11 @@ def test_probes_ignore_eavesdropper_feedback_bit():
 def test_replay_with_other_eavesdropper_state_is_identical():
     cfg = ModelConfig(K=16, L=4, B=4, seed=21)
     sched = compute_schedule(16, 4, 4)
-    for i in range(200):
-        tr = simulate_block(cfg, sched, block_rng(cfg.seed, i))
+    for word in block_seeds(cfg.seed, 0, 200):
+        tr = simulate_block(cfg, sched, random.Random(word))
         forced = tr.s_e % 16 + 1
         rep = simulate_block(
-            cfg, sched, block_rng(cfg.seed, i), s_l=tr.s_l, s_e=forced
+            cfg, sched, random.Random(word), s_l=tr.s_l, s_e=forced
         )
         assert [p.mask for p in rep.probes] == [p.mask for p in tr.probes]
         assert rep.y_l == tr.y_l
@@ -151,16 +150,18 @@ def test_replay_with_other_eavesdropper_state_is_identical():
 def test_simulation_is_deterministic_per_seed():
     cfg = ModelConfig(K=32, L=5, B=8, seed=7)
     sched = compute_schedule(32, 8, 5)
-    first = [simulate_block(cfg, sched, block_rng(7, i)).format_line() for i in range(20)]
-    second = [simulate_block(cfg, sched, block_rng(7, i)).format_line() for i in range(20)]
+    words = block_seeds(7, 0, 20)
+    first = [simulate_block(cfg, sched, random.Random(w)).format_line() for w in words]
+    second = [simulate_block(cfg, sched, random.Random(w)).format_line() for w in words]
     assert first == second
 
 
 def test_block_seeds_match_numpy_stream():
     words = np.random.SeedSequence(123).generate_state(50, np.uint64)
-    for i in (0, 1, 17, 49):
-        assert derive_block_seed(123, i) == int(words[i])
-    assert len({derive_block_seed(123, i) for i in range(50)}) == 50
+    assert block_seeds(123, 0, 50) == [int(w) for w in words]
+    assert block_seeds(123, 17, 50) == [int(w) for w in words[17:]]
+    assert block_seeds(123, 49, 49) == []
+    assert len(set(block_seeds(123, 0, 50))) == 50
 
 
 @settings(max_examples=30, deadline=None)
@@ -174,8 +175,8 @@ def test_cost_constraint_holds(K, B, L, seed):
     B = min(B, K)
     cfg = ModelConfig(K=K, L=L, B=B, seed=seed)
     sched = compute_schedule(K, B, L)
-    for i in range(5):
-        tr = simulate_block(cfg, sched, block_rng(seed, i))
+    for word in block_seeds(seed, 0, 5):
+        tr = simulate_block(cfg, sched, random.Random(word))
         assert tr.cost_ok
         assert max(p.card for p in tr.probes) <= B
         assert tr.y_l == [channel_output(p, tr.s_l) for p in tr.probes]
@@ -186,8 +187,8 @@ def test_fractional_schedule_probes_nothing_on_floored_zero():
     cfg = ModelConfig(K=2, L=2, B=1, seed=13)
     sched = compute_schedule(2, 1, 2)
     assert list(sched.c_int) == [1, 0]
-    for i in range(50):
-        tr = simulate_block(cfg, sched, block_rng(cfg.seed, i))
+    for word in block_seeds(cfg.seed, 0, 50):
+        tr = simulate_block(cfg, sched, random.Random(word))
         if tr.y_l[0] == 1:
             # detected: half of a single beam clamps to that same beam
             assert tr.probes[1] == tr.probes[0]

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import os
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbp_secrecy import cli
 
@@ -181,3 +186,42 @@ def test_worker_env_var_does_not_change_output(tmp_path, capsys, monkeypatch):
     rc2, threaded, _ = run(capsys, *args)
     assert rc2 == 0
     assert threaded == base
+
+
+def test_config_file_loses_to_abbreviated_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("K=8\nB=2\nL=2\nseed=1\nblocks=50\n")
+    rc, out, _ = run(capsys, "simulate", "--config", str(cfg), "--blo", "70")
+    assert rc == 0
+    assert "blocks=70 " in out.splitlines()[0]
+
+
+def test_config_file_bad_typed_value_exits_usage(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"L=abc\nout={tmp_path / 'g.csv'}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", str(cfg)])
+    assert exc.value.code == 1
+    assert "bad L list: 'abc'" in capsys.readouterr().err
+
+
+CONFIG_VALUES = st.text(alphabet=string.digits + ".-" + string.ascii_letters, max_size=3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    command=st.sampled_from(["bounds", "verify"]),
+    entries=st.lists(
+        st.tuples(st.sampled_from(["K", "B", "L", "config", "bogus"]), CONFIG_VALUES),
+        max_size=5,
+    ),
+)
+def test_config_file_exit_codes(tmp_path_factory, command, entries):
+    cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in entries))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main([command, "--config", str(cfg)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)

@@ -5,14 +5,15 @@ exhausts every probe path, so its numbers are exact; the tests below freeze
 those numbers and the closed-form comparisons built on them.
 """
 
+import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
 
-from bbp_secrecy.estimators import collect_stats
-from bbp_secrecy.model import ModelConfig, binary_entropy
+from bbp_secrecy.estimators import TranscriptStats, _plug_in_rate, collect_stats
+from bbp_secrecy.model import ModelConfig, binary_entropy, pack_bits
 from bbp_secrecy.oracle import (
     GuardRailError,
     _enumerate_case,
@@ -130,3 +131,26 @@ def test_enumeration_matches_monte_carlo():
         n = stats.pattern_counts.get(key, 0)
         sigma = math.sqrt(N * float(p) * (1 - float(p)))
         assert abs(n - N * float(p)) <= 4 * sigma, (key, n, N * float(p))
+
+
+@pytest.mark.parametrize("K,B,L", [(8, 2, 3), (8, 2, 4)])
+def test_estimator_statistics_on_scaled_exact_law_match_the_oracle(K, B, L):
+    # The exact law times the common denominator is a table of integer
+    # counts; the Monte Carlo statistics of those counts are the exact ones.
+    enum = exact_enumeration(K, B, L)
+    scale = math.lcm(*(p.denominator for p in enum.law.values()))
+    counts = Counter(
+        {(pack_bits(yl), pack_bits(ye)): int(p * scale) for (yl, ye), p in enum.law.items()}
+    )
+    assert sum(counts.values()) == scale
+    assert _plug_in_rate(counts, 0, L) == pytest.approx(enum.main_rate, abs=1e-12)
+    assert _plug_in_rate(counts, 1, L) == pytest.approx(enum.leakage, abs=1e-12)
+    stats = TranscriptStats(L=L, blocks=scale, pattern_counts=counts)
+    for j in range(1, L + 1):
+        expected = {}
+        for prefix in itertools.product((0, 1), repeat=j - 1):
+            mass = enum.prefix_mass(j, prefix)
+            if mass:
+                flip = enum.prefix_flip(j, prefix)
+                expected[pack_bits(prefix)] = [mass * scale, flip * mass * scale]
+        assert stats.prefix_stats("eav", j) == expected
