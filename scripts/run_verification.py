@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Cross-check the closed forms against exact enumeration on seven small cases.
+"""Cross-check the closed forms against the exact law on seven small cases.
 
 Runs the ``verify`` subcommand on the fixed ``CASES`` list, (4, 1, L) for
-L <= 3 and (8, 2, L) for L <= 4, not on every instance the enumeration
+L <= 3 and (8, 2, L) for L <= 4, not on every instance the exact-law
 oracle accepts, and prints each report.  Exits with the worst per-case
 status, so a nonzero exit means at least one closed form disagrees with the
 exact law (expected for L >= 3; see README).

@@ -17,7 +17,7 @@ and the inner bound is the outer bound minus the leakage rate, floored at
 zero.  The T3 coefficient is also provided in a ``state_summed`` variant
 that drops the leading 1/K (i.e. sums the per-state prefix mass over the K
 equiprobable eavesdropper states); ``verify_against_closed_forms`` uses the
-exact enumeration oracle to decide which variant reproduces the transcript
+exact-law oracle to decide which variant reproduces the transcript
 law.  The default everywhere is the expression as written above.
 """
 

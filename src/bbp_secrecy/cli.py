@@ -5,7 +5,7 @@ Subcommands
 bounds    print outer/leakage/inner for one (K, B, L) point
 sweep     write a CSV of bound points over a B range for several L values
 simulate  Monte Carlo rate estimates with z-scores against the closed forms
-verify    exact-enumeration cross-check of every closed form (small instances)
+verify    exact-law cross-check of every closed form (small instances)
 
 Exit codes: 0 success, 1 usage error (including guard-rail refusals),
 2 runtime/I-O error, 3 verification mismatch.
@@ -18,6 +18,7 @@ lines (``#`` comments allowed); explicit flags override file values.  The
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bounds import (
@@ -36,6 +37,7 @@ EXIT_RUNTIME = 2
 EXIT_MISMATCH = 3
 
 VERIFY_TOL = 1e-12
+MAX_SWEEP_ROWS = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,14 +98,19 @@ def _fmt_b(B: float) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if not all(map(math.isfinite, (args.B_start, args.B_stop, args.B_step))):
+        raise ValueError("B start, stop and step must be finite")
     if args.B_step <= 0:
         raise ValueError("B step must be positive")
     if args.B_stop < args.B_start:
         raise ValueError("empty B range")
-    n_steps = int((args.B_stop - args.B_start) / args.B_step + 1e-9) + 1
-    b_grid = [args.B_start + i * args.B_step for i in range(n_steps)]
+    n_b = int(min((args.B_stop - args.B_start) / args.B_step + 1e-9, MAX_SWEEP_ROWS)) + 1
+    L_values = sorted(set(args.L))
+    if n_b * len(L_values) > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep grid exceeds {MAX_SWEEP_ROWS} rows; use a coarser B step")
+    b_grid = [args.B_start + i * args.B_step for i in range(n_b)]
     rows = []
-    for L in sorted(set(args.L)):
+    for L in L_values:
         for B in b_grid:
             pt = bound_point(args.K, B, L)
             rows.append(
@@ -215,7 +222,7 @@ def build_parser() -> _Parser:
         help="write one transcript per line to PATH",
     )
 
-    add_command("verify", cmd_verify, "exact-enumeration check of the closed forms")
+    add_command("verify", cmd_verify, "exact-law check of the closed forms")
 
     return parser
 

@@ -1,29 +1,30 @@
-"""Exact transcript-law enumeration and closed-form verification.
+"""Exact transcript law of the probing policy and closed-form verification.
 
-``exact_enumeration`` walks every probe choice of the adaptive policy with
-exact ``fractions.Fraction`` probabilities and returns the full joint law of
-the feedback pair (y_l, y_e).  Beam-label exchangeability reduces the state
-average to two cases: coincident states (weight 1/K) and a fixed distinct
-pair (weight (K-1)/K).  The policy transition is re-implemented here on
-purpose — the enumeration must stay independent of the simulator it is used
-to check.  The statistics of the law (prefix cells, step entropies) are not:
+``exact_enumeration`` returns the full joint law of the feedback pair
+(y_l, y_e) with exact ``fractions.Fraction`` probabilities, from one forward
+pass over a lumped Markov chain.  Probes are uniform subsets of the pool, so
+beam labels are exchangeable: a state is the feedback so far, the pool size,
+the step of the first legitimate hit (0 while exploring) and where the
+eavesdropper sits (coincident, elsewhere in the pool, or outside it), and
+each step branches hypergeometrically.  Lumping is exact (Kemeny & Snell,
+*Finite Markov Chains*, 6.3).  The policy transition is re-implemented here
+on purpose — the law must stay independent of the simulator it is used to
+check.  The statistics of the law (prefix cells, step entropies) are not:
 they come from ``model``, shared with the Monte Carlo estimators.
 
-``verify_against_closed_forms`` compares the enumerated law against the
+``verify_against_closed_forms`` compares the exact law against the
 closed-form per-step entropies, every tabulated prefix mass/flip
 probability, and the leakage rate under both T3 coefficient variants,
-declaring which variant reproduces the enumerated deep-prefix contribution.
+declaring which variant reproduces the exact deep-prefix contribution.
 
-Guard rails: K <= 8, L <= 4 and an integer schedule; anything larger is
-refused with a path-count estimate.
+Guard rails: K <= 8, L <= 4 and an integer schedule; anything else is
+refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 
 from .bounds import (
     T3_VARIANTS,
@@ -38,65 +39,62 @@ from .model import pack_bits, prefix_cells, step_entropies
 MAX_K = 8
 MAX_L = 4
 
+# Where the eavesdropper's beam sits relative to the legitimate one's pool.
+COINCIDENT, IN_POOL, OUT_OF_POOL = 0, 1, 2
+
 
 class GuardRailError(ValueError):
-    """Instance too large (or ill-formed) for exact enumeration."""
-
-
-def _path_estimate(sched: ExplorationSchedule, K: int, L: int) -> int:
-    est = 1
-    used = 0
-    for j in range(L):
-        c = max(sched.c_int[j], 1)
-        est *= comb(max(K - used, c), min(c, max(K - used, 1))) * 2
-        used += sched.c_int[j]
-    return est
+    """Instance too large (or ill-formed) for the exact law."""
 
 
 def _check_guard_rails(K: int, B: float, L: int) -> ExplorationSchedule:
     sched = compute_schedule(K, B, L)
     if K > MAX_K or L > MAX_L:
-        raise GuardRailError(
-            f"exact enumeration limited to K <= {MAX_K}, L <= {MAX_L}; "
-            f"K={K}, L={L} would visit on the order of "
-            f"{_path_estimate(sched, K, L)} probe paths"
-        )
+        raise GuardRailError(f"exact law limited to K <= {MAX_K}, L <= {MAX_L}; got K={K}, L={L}")
     if not sched.is_integral:
-        raise GuardRailError(
-            f"exact enumeration needs an integer schedule; got c={list(sched.c)}"
-        )
+        raise GuardRailError(f"exact law needs an integer schedule; got c={list(sched.c)}")
     return sched
 
 
-def _enumerate_case(K: int, c_int: tuple[int, ...], L: int, s_l: int, s_e: int) -> dict:
-    """Joint law of (y_l, y_e) for fixed states, exact probabilities."""
+def _lumped_law(K: int, c_int: tuple[int, ...], L: int) -> dict:
+    """Joint law of (y_l, y_e), averaged over uniform receiver states.
+
+    A probe takes q of the n pool beams: c_j while exploring, and after a
+    first hit at step det, c_det halved once per step since (at least 1).  It
+    holds the legitimate beam, always in the pool, with probability q/n, and
+    an eavesdropper elsewhere in the pool with probability (q - 1)/(n - 1)
+    after that hit or q/(n - 1) after a miss.  The next pool is the probe
+    after a hit and the rest after a miss; the eavesdropper stays in it only
+    when its bit equals the legitimate one.
+    """
+    frontier = {
+        ((), (), K, 0, COINCIDENT): Fraction(1, K),
+        ((), (), K, 0, IN_POOL): Fraction(K - 1, K),
+    }
+    for j in range(1, L + 1):
+        step: dict = {}
+        for (yl, ye, n, det, place), w in frontier.items():
+            q = min(max(c_int[det - 1] >> (j - det), 1) if det else c_int[j - 1], n)
+            # Skip zero-weight branches: they reach n = 0, or n = 1 with an in-pool eavesdropper.
+            for bl, p_l in ((1, Fraction(q, n)), (0, Fraction(n - q, n))):
+                if not p_l:
+                    continue
+                if place == IN_POOL:
+                    p_e = Fraction(q - bl, n - 1)
+                    eav = (
+                        (1, p_e, IN_POOL if bl else OUT_OF_POOL),
+                        (0, 1 - p_e, OUT_OF_POOL if bl else IN_POOL),
+                    )
+                else:
+                    eav = ((bl if place == COINCIDENT else 0, 1, place),)
+                for be, p_e, where in eav:
+                    if p_e:
+                        key = (yl + (bl,), ye + (be,), q if bl else n - q, det or bl * j, where)
+                        step[key] = step.get(key, 0) + w * p_l * p_e
+        frontier = step
     law: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-
-    def rec(j, cand, last, det, prev_yl, yl, ye, p):
-        if j > L:
-            law[(yl, ye)] = law.get((yl, ye), Fraction(0)) + p
-            return
-        if j == 1:
-            pool = cand
-            q = c_int[0]
-            det_next = None
-        elif det is None and prev_yl == 0:
-            pool = cand - last
-            q = c_int[j - 1]
-            det_next = None
-        else:
-            det_next = det if det is not None else j - 1
-            pool = last if prev_yl == 1 else cand - last
-            q = max(c_int[det_next - 1] >> (j - det_next), 1)
-        q = min(q, len(pool))
-        total = comb(len(pool), q)
-        for probe in combinations(sorted(pool), q):
-            pv = frozenset(probe)
-            bl = 1 if s_l in pv else 0
-            be = 1 if s_e in pv else 0
-            rec(j + 1, pool, pv, det_next, bl, yl + (bl,), ye + (be,), p / total)
-
-    rec(1, frozenset(range(1, K + 1)), frozenset(), None, 0, (), (), Fraction(1))
+    for (yl, ye, *_), w in frontier.items():
+        law[(yl, ye)] = law.get((yl, ye), 0) + w
     return law
 
 
@@ -151,7 +149,7 @@ class EnumerationResult:
 
 
 def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
-    """Enumerate the exact joint feedback law for one instance.
+    """Exact joint feedback law for one instance, with its derived rates.
 
     Raises
     ------
@@ -159,14 +157,7 @@ def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
         If K > 8, L > 4 or the schedule is not integral.
     """
     sched = _check_guard_rails(K, B, L)
-    co = _enumerate_case(K, sched.c_int, L, 1, 1)
-    di = _enumerate_case(K, sched.c_int, L, 1, 2)
-    w_co = Fraction(1, K)
-    w_di = Fraction(K - 1, K)
-    law: dict = {}
-    for part, w in ((co, w_co), (di, w_di)):
-        for key, p in part.items():
-            law[key] = law.get(key, Fraction(0)) + w * p
+    law = _lumped_law(K, sched.c_int, L)
 
     total = sum(law.values(), Fraction(0))
     packed = {(pack_bits(yl), pack_bits(ye)): p for (yl, ye), p in law.items()}
@@ -222,7 +213,7 @@ class T3Adjudication:
 
 @dataclass
 class VerificationReport:
-    """Closed-form vs enumeration comparison for one instance."""
+    """Closed-form vs exact-law comparison for one instance."""
 
     K: int
     B: float
@@ -321,11 +312,11 @@ def _degeneracy_notes(sched: ExplorationSchedule, L: int, rows: list[ReportRow],
 
 
 def verify_against_closed_forms(K: int, B: float, L: int, tol: float = 1e-12) -> VerificationReport:
-    """Compare enumerated exact values against every closed-form quantity.
+    """Compare exact-law values against every closed-form quantity.
 
     Mismatches are report content, not errors.  The T3 coefficient
     comparison is informational: the report states which variant matches the
-    enumerated deep-prefix contribution (within ``tol``).
+    exact deep-prefix contribution (within ``tol``).
     """
     enum = exact_enumeration(K, B, L)
     sched = enum.schedule

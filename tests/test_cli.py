@@ -79,6 +79,35 @@ def test_sweep_custom_grid(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--B-stop", "inf"),
+        ("--B-start", "nan"),
+        ("--B-step", "inf"),
+        ("--B-stop", "1e300", "--B-step", "1e-300"),
+    ],
+)
+def test_sweep_rejects_non_finite_grid(tmp_path, capsys, flags):
+    out_csv = tmp_path / "g.csv"
+    rc, _, err = run(capsys, "sweep", *flags, "--out", str(out_csv))
+    assert rc == 1
+    assert err.startswith("bbp-secrecy: error:")
+    assert not out_csv.exists()
+
+
+def test_sweep_rejects_grid_over_row_cap(tmp_path, capsys):
+    # 3.1e10 B values at K=32: refused before any list is built
+    out_csv = tmp_path / "g.csv"
+    rc, _, err = run(capsys, "sweep", "--B-step", "1e-9", "--out", str(out_csv))
+    assert rc == 1
+    assert f"exceeds {cli.MAX_SWEEP_ROWS} rows" in err
+    assert not out_csv.exists()
+    # the cap counts rows over every L: 4 L values of 250 001 B values each
+    rc, _, err = run(capsys, "sweep", "--B-stop", "2.5", "--B-step", "6e-6", "--out", str(out_csv))
+    assert rc == 1 and "rows" in err
+
+
 def test_sweep_unwritable_path_is_io_error(capsys):
     rc, _, err = run(capsys, "sweep", "--out", "/nonexistent-dir/x.csv")
     assert rc == 2

@@ -1,8 +1,10 @@
-"""Exact-enumeration oracle tests.
+"""Exact-law oracle tests.
 
-The oracle re-implements the probing policy with Fraction arithmetic and
-exhausts every probe path, so its numbers are exact; the tests below freeze
-those numbers and the closed-form comparisons built on them.
+The oracle re-implements the probing policy as a lumped Markov chain with
+Fraction arithmetic, so its numbers are exact.  The ground truth here is a
+brute-force walk over every probe subset of the policy for fixed receiver
+states; the tests check the chain against it on every enumerable case, then
+freeze the exact numbers and the closed-form comparisons built on them.
 """
 
 import itertools
@@ -13,13 +15,70 @@ from fractions import Fraction
 import pytest
 
 from bbp_secrecy.estimators import TranscriptStats, _plug_in_rate, collect_stats
-from bbp_secrecy.model import ModelConfig, binary_entropy, pack_bits
+from bbp_secrecy.model import ModelConfig, binary_entropy, compute_schedule, pack_bits
 from bbp_secrecy.oracle import (
+    MAX_K,
+    MAX_L,
     GuardRailError,
-    _enumerate_case,
     exact_enumeration,
     verify_against_closed_forms,
 )
+
+ENUMERABLE_CASES = [
+    (K, B, L)
+    for K in range(2, MAX_K + 1)
+    for B in range(1, K + 1)
+    for L in range(1, MAX_L + 1)
+    if compute_schedule(K, B, L).is_integral
+]
+
+
+def _walk_probe_paths(K, c_int, L, s_l, s_e):
+    """Joint law of (y_l, y_e) for fixed states, by walking every probe subset."""
+    law = defaultdict(lambda: Fraction(0))
+
+    def rec(j, cand, last, det, prev_yl, yl, ye, p):
+        if j > L:
+            law[(yl, ye)] += p
+            return
+        if j == 1:
+            pool = cand
+            q = c_int[0]
+            det_next = None
+        elif det is None and prev_yl == 0:
+            pool = cand - last
+            q = c_int[j - 1]
+            det_next = None
+        else:
+            det_next = det if det is not None else j - 1
+            pool = last if prev_yl == 1 else cand - last
+            q = max(c_int[det_next - 1] >> (j - det_next), 1)
+        q = min(q, len(pool))
+        total = math.comb(len(pool), q)
+        for probe in itertools.combinations(sorted(pool), q):
+            pv = frozenset(probe)
+            bl = 1 if s_l in pv else 0
+            be = 1 if s_e in pv else 0
+            rec(j + 1, pool, pv, det_next, bl, yl + (bl,), ye + (be,), p / total)
+
+    rec(1, frozenset(range(1, K + 1)), frozenset(), None, 0, (), (), Fraction(1))
+    return dict(law)
+
+
+def _walked_mixture(K, B, L):
+    # Beam labels are exchangeable, so the state average is the coincident
+    # pair (1, 1) with weight 1/K and the distinct pair (1, 2) with (K-1)/K.
+    c_int = compute_schedule(K, B, L).c_int
+    law = defaultdict(lambda: Fraction(0))
+    for s_e, weight in ((1, Fraction(1, K)), (2, Fraction(K - 1, K))):
+        for pattern, p in _walk_probe_paths(K, c_int, L, 1, s_e).items():
+            law[pattern] += weight * p
+    return dict(law)
+
+
+@pytest.mark.parametrize("K,B,L", ENUMERABLE_CASES)
+def test_lumped_law_equals_probe_path_walk(K, B, L):
+    assert exact_enumeration(K, B, L).law == _walked_mixture(K, B, L)
 
 
 def test_guard_rails_refuse_large_or_fractional_cases():
@@ -102,35 +161,44 @@ def test_report_render_has_machine_readable_lines():
 
 
 def test_state_reduction_matches_full_state_enumeration():
-    # closed over all 16 (s_l, s_e) pairs, the reduced two-case law must
-    # reproduce the full mixture
-    reduced = exact_enumeration(4, 1, 2).law
+    # averaged over all 16 (s_l, s_e) pairs, the probe-path walk must
+    # reproduce both the lumped law and the two-case mixture
     full = defaultdict(lambda: Fraction(0))
     for s_l in range(1, 5):
         for s_e in range(1, 5):
-            for pattern, p in _enumerate_case(4, (1, 1), 2, s_l, s_e).items():
+            for pattern, p in _walk_probe_paths(4, (1, 1), 2, s_l, s_e).items():
                 full[pattern] += p * Fraction(1, 16)
-    assert dict(full) == dict(reduced)
+    assert dict(full) == exact_enumeration(4, 1, 2).law == _walked_mixture(4, 1, 2)
 
 
-def test_enumeration_matches_monte_carlo():
-    enum = exact_enumeration(8, 2, 2)
+def _chi2_upper_tail(x, dof):
+    # Wilson-Hilferty: (x/dof)^(1/3) is close to normal with mean 1 - 2/(9 dof)
+    # and variance 2/(9 dof).
+    v = 2 / (9 * dof)
+    z = ((x / dof) ** (1 / 3) - (1 - v)) / math.sqrt(v)
+    return 0.5 * math.erfc(z / math.sqrt(2))
+
+
+@pytest.mark.parametrize("K,B,L", [(8, 2, 2), (8, 2, 4), (7, 3, 3), (8, 1, 4)])
+def test_enumeration_matches_monte_carlo(K, B, L):
+    # G-test of the simulated pattern histogram against the exact law; cells
+    # expecting fewer than 5 blocks are pooled into one.
     N = 20_000
-    stats = collect_stats(ModelConfig(K=8, L=2, B=2, seed=11, blocks=N))
-    support = {
-        (
-            sum(b << i for i, b in enumerate(yl)),
-            sum(b << i for i, b in enumerate(ye)),
-        ): p
-        for (yl, ye), p in enum.law.items()
-    }
-    assert set(stats.pattern_counts) <= set(support)
-    for key, p in support.items():
-        if p < Fraction(1, 100):
-            continue
-        n = stats.pattern_counts.get(key, 0)
-        sigma = math.sqrt(N * float(p) * (1 - float(p)))
-        assert abs(n - N * float(p)) <= 4 * sigma, (key, n, N * float(p))
+    law = {(pack_bits(yl), pack_bits(ye)): p for (yl, ye), p in exact_enumeration(K, B, L).law.items()}
+    counts = collect_stats(ModelConfig(K=K, L=L, B=B, seed=11, blocks=N)).pattern_counts
+    assert set(counts) <= set(law)
+    bins = []  # (observed, expected)
+    pooled = [0, 0.0]
+    for key, p in law.items():
+        cell = (counts.get(key, 0), N * float(p))
+        if cell[1] < 5:
+            pooled = [pooled[0] + cell[0], pooled[1] + cell[1]]
+        else:
+            bins.append(cell)
+    if pooled[1]:
+        bins.append(tuple(pooled))
+    g = 2 * sum(n * math.log(n / e) for n, e in bins if n)
+    assert _chi2_upper_tail(g, len(bins) - 1) >= 1e-3, (g, len(bins) - 1)
 
 
 @pytest.mark.parametrize("K,B,L", [(8, 2, 3), (8, 2, 4)])
