@@ -19,9 +19,9 @@ member list of its set (what ``BeamSet.members()`` returns), so the draws,
 and with them every transcript, depend only on the set and the generator;
 no step walks all K bits of a mask to list members.
 
-Determinism: every block draws its randomness from a generator derived from
-(seed, block index) via ``numpy.random.SeedSequence``, so results do not
-depend on how blocks are partitioned across workers.
+Determinism: block i seeds its generator with word i of the SeedSequence
+stream of ``seed`` (``block_seeds``), so results do not depend on how
+blocks are partitioned across workers.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import permutations
 from typing import NamedTuple
-
-import numpy as np
 
 from .model import ExplorationSchedule, ModelConfig
 
@@ -112,15 +111,43 @@ def initial_policy_state(K: int) -> PolicyState:
     return PolicyState(list(range(1, K + 1)), [], None, 1)
 
 
+# SeedSequence constants (M. E. O'Neill, "Developing a seed_seq Alternative", 2015).
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_L, MIX_R, M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
 def block_seeds(seed: int, start: int, stop: int) -> list[int]:
     """64-bit seeds of blocks [start, stop); partition-independent by construction.
 
-    Block ``i`` gets word ``i`` of the ``SeedSequence(seed)`` output stream,
-    so any split of a block range into contiguous pieces gives the same
-    seeds.  The stream cannot start at an offset: the first ``stop`` words
-    are generated and the leading ``start`` dropped.
+    Block ``i`` gets word ``i`` of the uint64 SeedSequence stream of ``seed``
+    (the words of numpy's ``SeedSequence(seed).generate_state``).  The seed's
+    four 32-bit words are hashed into a four-word pool; uint32 output word w
+    hashes pool[w % 4] with INIT_B * MULT_B^w alone, so only words
+    [start, stop) are computed.  All arithmetic is mod 2^32.
     """
-    return np.random.SeedSequence(seed).generate_state(stop, np.uint64)[start:].tolist()
+    if not 0 <= seed < 1 << 128:
+        raise ValueError("seed must fit in 128 bits")
+    h = INIT_A
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * MULT_A & M32
+        v = v * h & M32
+        return v ^ v >> 16
+
+    pool = [hashmix(seed >> s & M32) for s in (0, 32, 64, 96)]
+    for src, dst in permutations(range(4), 2):
+        r = (MIX_L * pool[dst] - MIX_R * hashmix(pool[src])) & M32
+        pool[dst] = r ^ r >> 16
+    out = []
+    h = INIT_B * pow(MULT_B, 2 * start, 1 << 32) & M32
+    for w in range(2 * start, 2 * stop):
+        v = pool[w % 4] ^ h
+        h = h * MULT_B & M32
+        v = v * h & M32
+        out.append(v ^ v >> 16)
+    return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
 
 
 def draw_states(K: int, rng: random.Random) -> tuple[int, int]:

@@ -36,7 +36,6 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_MISMATCH = 3
 
-VERIFY_TOL = 1e-12
 MAX_SWEEP_ROWS = 10**6
 
 
@@ -98,13 +97,14 @@ def _fmt_b(B: float) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if not all(map(math.isfinite, (args.B_start, args.B_stop, args.B_step))):
+    B_stop = float(args.K) if args.B_stop is None else args.B_stop
+    if not all(map(math.isfinite, (args.B_start, B_stop, args.B_step))):
         raise ValueError("B start, stop and step must be finite")
     if args.B_step <= 0:
         raise ValueError("B step must be positive")
-    if args.B_stop < args.B_start:
+    if B_stop < args.B_start:
         raise ValueError("empty B range")
-    n_b = int(min((args.B_stop - args.B_start) / args.B_step + 1e-9, MAX_SWEEP_ROWS)) + 1
+    n_b = int(min((B_stop - args.B_start) / args.B_step + 1e-9, MAX_SWEEP_ROWS)) + 1
     L_values = sorted(set(args.L))
     if n_b * len(L_values) > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep grid exceeds {MAX_SWEEP_ROWS} rows; use a coarser B step")
@@ -175,7 +175,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _schedule_or_die(args.K, args.B, args.L)
-    report = verify_against_closed_forms(args.K, args.B, args.L, tol=VERIFY_TOL)
+    report = verify_against_closed_forms(args.K, args.B, args.L)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
@@ -208,7 +208,7 @@ def build_parser() -> _Parser:
         "--L", type=_parse_l_list, default=[2, 5, 8, 12], help="comma-separated list"
     )
     p.add_argument("--B-start", type=float, default=1.0, dest="B_start")
-    p.add_argument("--B-stop", type=float, default=32.0, dest="B_stop")
+    p.add_argument("--B-stop", type=float, dest="B_stop", help="default: K")
     p.add_argument("--B-step", type=float, default=1.0, dest="B_step")
     p.add_argument("--out", default="sweep.csv", help="output CSV path")
 

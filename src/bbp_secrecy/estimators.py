@@ -21,13 +21,13 @@ for any worker count.
 
 from __future__ import annotations
 
+import math
 import os
 import random
+import statistics
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .channel import block_seeds, simulate_block
 from .model import ExplorationSchedule, ModelConfig, compute_schedule
@@ -155,21 +155,15 @@ def collect_stats(
     if workers == 1:
         return _collect_range(config, schedule, 0, config.blocks, groups, dump_path)
 
-    edges = np.linspace(0, config.blocks, workers + 1, dtype=int)
-    merged: TranscriptStats | None = None
+    edges = [config.blocks * i // workers for i in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_collect_range, config, schedule, int(a), int(b), groups)
-            for a, b in zip(edges[:-1], edges[1:])
-            if b > a
+            pool.submit(_collect_range, config, schedule, a, b, groups)
+            for a, b in zip(edges, edges[1:])
         ]
-        for fut in futures:
-            part = fut.result()
-            if merged is None:
-                merged = part
-            else:
-                merged.merge(part)
-    assert merged is not None
+        merged, *rest = [fut.result() for fut in futures]
+    for part in rest:
+        merged.merge(part)
     return merged
 
 
@@ -179,7 +173,7 @@ def _rate_estimate(stats: TranscriptStats, stream: int) -> RateEstimate:
         _plug_in_rate(c, stream, stats.L) for c in stats.group_counts if c
     ]
     if len(group_rates) >= 2:
-        stderr = float(np.std(group_rates, ddof=1) / np.sqrt(len(group_rates)))
+        stderr = statistics.stdev(group_rates) / math.sqrt(len(group_rates))
     else:
         stderr = float("nan")
     return RateEstimate(value=value, stderr=stderr, blocks=stats.blocks)

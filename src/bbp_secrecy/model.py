@@ -159,10 +159,6 @@ class ExplorationSchedule:
         """Sum of c_1..c_{j-1} (zero for j = 1)."""
         return self.cum[j - 2] if j >= 2 else 0.0
 
-    def cum_int_before(self, j: int) -> int:
-        """Integer beams actually consumed before step j by exploration."""
-        return sum(self.c_int[: j - 1])
-
 
 def compute_schedule(K: int, B: float, L: int) -> ExplorationSchedule:
     """Evaluate the exploration recursion for ``L`` steps.

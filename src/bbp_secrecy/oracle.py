@@ -38,6 +38,7 @@ from .model import pack_bits, prefix_cells, step_entropies
 
 MAX_K = 8
 MAX_L = 4
+TOL = 1e-12  # largest |closed - oracle| a matching quantity may show
 
 # Where the eavesdropper's beam sits relative to the legitimate one's pool.
 COINCIDENT, IN_POOL, OUT_OF_POOL = 0, 1, 2
@@ -275,17 +276,17 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _degeneracy_notes(sched: ExplorationSchedule, L: int, rows: list[ReportRow], tol: float) -> list[str]:
+def _degeneracy_notes(sched: ExplorationSchedule, L: int, rows: list[ReportRow]) -> list[str]:
     notes = []
     singleton_dets = [
         k for k in range(1, L) if sched.c_int[k - 1] < 2 ** (L - k)
     ]
     mass_bad = any(
-        r.quantity.startswith("prefix_mass") and r.abs_dev > tol and not r.informational
+        r.quantity.startswith("prefix_mass") and r.abs_dev > TOL and not r.informational
         for r in rows
     )
     step_bad = any(
-        r.quantity.startswith("main_step") and r.abs_dev > tol for r in rows
+        r.quantity.startswith("main_step") and r.abs_dev > TOL for r in rows
     )
     if singleton_dets and step_bad:
         notes.append(
@@ -306,17 +307,15 @@ def _degeneracy_notes(sched: ExplorationSchedule, L: int, rows: list[ReportRow],
             "schedule entries equal to 1 cannot be halved after detection; "
             "closed-form 1/2 factors do not describe those steps"
         )
-    if not sched.is_integral:
-        notes.append("fractional schedule entries are floored by the simulator")
     return notes
 
 
-def verify_against_closed_forms(K: int, B: float, L: int, tol: float = 1e-12) -> VerificationReport:
+def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
     """Compare exact-law values against every closed-form quantity.
 
     Mismatches are report content, not errors.  The T3 coefficient
     comparison is informational: the report states which variant matches the
-    exact deep-prefix contribution (within ``tol``).
+    exact deep-prefix contribution (within ``TOL``).
     """
     enum = exact_enumeration(K, B, L)
     sched = enum.schedule
@@ -358,17 +357,18 @@ def verify_against_closed_forms(K: int, B: float, L: int, tol: float = 1e-12) ->
     if t3.applicable:
         t3.oracle_value = enum.deep_prefix_sum()
         for variant in T3_VARIANTS:
-            closed_sum = 0.0
-            tab = prefix_probability_table(K, B, L, t3_variant=variant)
-            for (j, k), e in tab.entries.items():
-                if e.kind == "post_detection" and k >= 1:
-                    closed_sum += e.mass * binary_entropy(e.flip)
-            t3.variant_values[variant] = closed_sum
+            if variant != table.t3_variant:
+                table = prefix_probability_table(K, B, L, t3_variant=variant)
+            t3.variant_values[variant] = sum(
+                e.mass * binary_entropy(e.flip)
+                for (_, k), e in table.entries.items()
+                if e.kind == "post_detection" and k >= 1
+            )
         devs = {v: abs(val - t3.oracle_value) for v, val in t3.variant_values.items()}
-        t3.matching = [v for v, d in devs.items() if d <= tol]
+        t3.matching = [v for v, d in devs.items() if d <= TOL]
         t3.closest = min(devs, key=devs.get)
 
-    notes = _degeneracy_notes(sched, L, rows, tol)
+    notes = _degeneracy_notes(sched, L, rows)
     return VerificationReport(
-        K=K, B=float(B), L=L, schedule=sched, tol=tol, rows=rows, t3=t3, notes=notes
+        K=K, B=float(B), L=L, schedule=sched, tol=TOL, rows=rows, t3=t3, notes=notes
     )

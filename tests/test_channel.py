@@ -157,11 +157,26 @@ def test_simulation_is_deterministic_per_seed():
 
 
 def test_block_seeds_match_numpy_stream():
-    words = np.random.SeedSequence(123).generate_state(50, np.uint64)
-    assert block_seeds(123, 0, 50) == [int(w) for w in words]
-    assert block_seeds(123, 17, 50) == [int(w) for w in words[17:]]
-    assert block_seeds(123, 49, 49) == []
-    assert len(set(block_seeds(123, 0, 50))) == 50
+    for seed in (0, 1, 123, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1):
+        words = np.random.SeedSequence(seed).generate_state(10**6 + 20, np.uint64).tolist()
+        for start in (0, 1, 17, 10**6):
+            assert block_seeds(seed, start, start + 20) == words[start : start + 20]
+        assert block_seeds(seed, 0, 50) == words[:50]
+        assert block_seeds(seed, 49, 49) == []
+        assert len(set(block_seeds(seed, 0, 50))) == 50
+
+
+def test_block_seeds_start_far_into_the_stream():
+    # Only the requested words are computed: 10**15 earlier words are skipped.
+    far = 10**15
+    assert block_seeds(5, far, far + 3) == block_seeds(5, far - 1, far + 3)[1:]
+    assert len(block_seeds(5, far, far + 3)) == 3
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_block_seeds_reject_seed_outside_pool(seed):
+    with pytest.raises(ValueError):
+        block_seeds(seed, 0, 1)
 
 
 @settings(max_examples=30, deadline=None)

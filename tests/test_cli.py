@@ -2,6 +2,8 @@ import contextlib
 import io
 import os
 import string
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,23 @@ def test_sweep_custom_grid(tmp_path, capsys):
     assert [l.split(",")[:3] for l in lines[1:]] == [
         ["8", "2", "1"], ["8", "2", "2"], ["8", "2", "3"], ["8", "2", "4"],
         ["8", "3", "1"], ["8", "3", "2"], ["8", "3", "3"], ["8", "3", "4"],
+    ]
+
+
+def test_sweep_default_b_stop_is_k(tmp_path, capsys):
+    out_csv = tmp_path / "g.csv"
+    rc, out, err = run(capsys, "sweep", "--K", "8", "--out", str(out_csv))
+    assert rc == 0, err
+    assert out.strip() == f"wrote 32 rows to {out_csv}"
+    rows = [l.split(",")[:3] for l in out_csv.read_text().splitlines()[1:]]
+    assert rows == [["8", str(L), str(B)] for L in (2, 5, 8, 12) for B in range(1, 9)]
+    # an explicit stop, from a flag or a config file, still wins
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("B-stop=4\n")
+    assert cli.main(["sweep", "--K", "8", "--config", str(cfg), "--out", str(out_csv)]) == 0
+    assert cli.main(["sweep", "--K", "8", "--B-stop", "3", "--out", str(out_csv)]) == 0
+    assert capsys.readouterr().out.split("\n")[:2] == [
+        f"wrote 16 rows to {out_csv}", f"wrote 12 rows to {out_csv}"
     ]
 
 
@@ -254,3 +273,10 @@ def test_config_file_exit_codes(tmp_path_factory, command, entries):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3)
+
+
+def test_cli_import_loads_no_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, bbp_secrecy.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

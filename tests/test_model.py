@@ -50,7 +50,6 @@ def test_schedule_partial_sums():
     assert list(s.cum) == [8, 16, 24, 28, 30]
     assert s.cum_before(1) == 0.0
     assert s.cum_before(4) == 24.0
-    assert s.cum_int_before(3) == 16
 
 
 @given(K=st.integers(2, 64), B=st.integers(1, 64), L=st.integers(1, 12))
