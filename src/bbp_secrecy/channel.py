@@ -31,7 +31,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .model import ExplorationSchedule, ModelConfig
 
@@ -116,14 +116,15 @@ INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 MIX_L, MIX_R, M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 
-def block_seeds(seed: int, start: int, stop: int) -> list[int]:
-    """64-bit seeds of blocks [start, stop); partition-independent by construction.
+def block_seeds(seed: int, start: int, stop: int) -> Iterator[int]:
+    """Yield the 64-bit seeds of blocks [start, stop), partition-independent.
 
     Block ``i`` gets word ``i`` of the uint64 SeedSequence stream of ``seed``
     (the words of numpy's ``SeedSequence(seed).generate_state``).  The seed's
     four 32-bit words are hashed into a four-word pool; uint32 output word w
     hashes pool[w % 4] with INIT_B * MULT_B^w alone, so only words
-    [start, stop) are computed.  All arithmetic is mod 2^32.
+    [start, stop) are computed, one at a time.  All arithmetic is mod 2^32.
+    A seed outside [0, 2^128) raises ``ValueError`` at call time.
     """
     if not 0 <= seed < 1 << 128:
         raise ValueError("seed must fit in 128 bits")
@@ -140,14 +141,18 @@ def block_seeds(seed: int, start: int, stop: int) -> list[int]:
     for src, dst in permutations(range(4), 2):
         r = (MIX_L * pool[dst] - MIX_R * hashmix(pool[src])) & M32
         pool[dst] = r ^ r >> 16
-    out = []
-    h = INIT_B * pow(MULT_B, 2 * start, 1 << 32) & M32
-    for w in range(2 * start, 2 * stop):
-        v = pool[w % 4] ^ h
-        h = h * MULT_B & M32
-        v = v * h & M32
-        out.append(v ^ v >> 16)
-    return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
+
+    def words(h: int) -> Iterator[int]:
+        for w in range(2 * start, 2 * stop, 2):
+            lo = pool[w % 4] ^ h
+            h = h * MULT_B & M32
+            lo = lo * h & M32
+            hi = pool[w % 4 + 1] ^ h
+            h = h * MULT_B & M32
+            hi = hi * h & M32
+            yield (lo ^ lo >> 16) | (hi ^ hi >> 16) << 32
+
+    return words(INIT_B * pow(MULT_B, 2 * start, 1 << 32) & M32)
 
 
 def draw_states(K: int, rng: random.Random) -> tuple[int, int]:
@@ -173,23 +178,18 @@ def _without(pool: list[int], probed: list[int]) -> list[int]:
 
 
 def jcas_step(
-    state: PolicyState,
-    prev_feedback: tuple[int, int],
-    schedule: ExplorationSchedule,
-    rng: random.Random,
+    state: PolicyState, y_prev: int, schedule: ExplorationSchedule, rng: random.Random
 ) -> tuple[BeamSet, PolicyState]:
-    """Choose the probe for ``state.step`` given last step's feedback.
+    """Choose the probe for ``state.step`` given last step's legitimate bit.
 
-    Only ``prev_feedback[0]`` (the legitimate bit) is ever read; the
-    eavesdropper bit is accepted to mirror the feedback link but cannot
-    influence the probe sequence.
+    The policy reads only the legitimate feedback ``y_prev`` (0 before step
+    1), so the eavesdropper's feedback cannot influence the probe sequence.
 
     Returns
     -------
     (probe, next_state)
     """
     j = state.step
-    y_prev = prev_feedback[0]
     det = state.detection_time
 
     if j == 1:
@@ -237,21 +237,19 @@ def simulate_block(
 
     budget = int(math.floor(config.B))
     state = initial_policy_state(config.K)
-    feedback = (0, 0)
+    yl = 0  # no feedback before step 1
     probes: list[BeamSet] = []
     y_l: list[int] = []
     y_e: list[int] = []
     cost_ok = True
     for _ in range(config.L):
-        probe, state = jcas_step(state, feedback, schedule, rng)
+        probe, state = jcas_step(state, yl, schedule, rng)
         if probe.card > budget:
             cost_ok = False
         yl = (probe.mask >> shift_l) & 1
-        ye = (probe.mask >> shift_e) & 1
         probes.append(probe)
         y_l.append(yl)
-        y_e.append(ye)
-        feedback = (yl, ye)
+        y_e.append((probe.mask >> shift_e) & 1)
     return BlockTranscript(
         s_l=s_l,
         s_e=s_e,

@@ -97,6 +97,9 @@ def _fmt_b(B: float) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    L_values = sorted(set(args.L))
+    for L in L_values:
+        ModelConfig(K=args.K, L=L, B=1)  # K and L limits, before any grid is built
     B_stop = float(args.K) if args.B_stop is None else args.B_stop
     if not all(map(math.isfinite, (args.B_start, B_stop, args.B_step))):
         raise ValueError("B start, stop and step must be finite")
@@ -105,7 +108,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if B_stop < args.B_start:
         raise ValueError("empty B range")
     n_b = int(min((B_stop - args.B_start) / args.B_step + 1e-9, MAX_SWEEP_ROWS)) + 1
-    L_values = sorted(set(args.L))
     if n_b * len(L_values) > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep grid exceeds {MAX_SWEEP_ROWS} rows; use a coarser B step")
     b_grid = [args.B_start + i * args.B_step for i in range(n_b)]
@@ -174,7 +176,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _schedule_or_die(args.K, args.B, args.L)
+    ModelConfig(K=args.K, L=args.L, B=args.B)
     report = verify_against_closed_forms(args.K, args.B, args.L)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_MISMATCH

@@ -34,6 +34,7 @@ from .model import ExplorationSchedule, ModelConfig, compute_schedule
 from .model import pack_bits, prefix_cells, step_entropies
 
 GROUPS = 100
+MAX_SIMULATED_BEAMS = 2**20  # every block lists its K-beam pool
 
 
 @dataclass
@@ -93,20 +94,19 @@ def _collect_range(
     schedule: ExplorationSchedule,
     start: int,
     stop: int,
-    groups: int,
     dump_path: str | None = None,
 ) -> TranscriptStats:
     """Simulate blocks [start, stop) and count their feedback patterns."""
+    total = config.blocks
+    groups = min(GROUPS, total)
     stats = TranscriptStats(
         L=config.L, blocks=0, group_counts=[Counter() for _ in range(groups)]
     )
-    total = config.blocks
-    seeds = block_seeds(config.seed, start, stop)
     budget_violations = 0
     clamps = 0
     dump = open(dump_path, "w", encoding="utf-8") if dump_path else None
     try:
-        for i, word in enumerate(seeds, start):
+        for i, word in enumerate(block_seeds(config.seed, start, stop), start):
             t = simulate_block(config, schedule, random.Random(word))
             key = (pack_bits(t.y_l), pack_bits(t.y_e))
             stats.pattern_counts[key] += 1
@@ -141,24 +141,25 @@ def collect_stats(
     ``workers`` defaults to the BBP_THREADS environment variable (else 1)
     and is capped by :func:`resolve_workers`.  The result is independent of
     the worker count.  Transcript dumping forces a single worker so the dump
-    order is the block order.
+    order is the block order.  K above ``MAX_SIMULATED_BEAMS`` is refused.
     """
     if config.blocks <= 0:
         raise ValueError("config.blocks must be positive for simulation")
+    if config.K > MAX_SIMULATED_BEAMS:
+        raise ValueError(f"simulation limited to K <= 2**20 = {MAX_SIMULATED_BEAMS}")
     schedule = schedule or compute_schedule(config.K, config.B, config.L)
     if workers is None:
         workers = int(os.environ.get("BBP_THREADS", "1"))
     workers = resolve_workers(workers, config.blocks)
-    groups = min(GROUPS, config.blocks)
     if dump_path is not None:
         workers = 1
     if workers == 1:
-        return _collect_range(config, schedule, 0, config.blocks, groups, dump_path)
+        return _collect_range(config, schedule, 0, config.blocks, dump_path)
 
     edges = [config.blocks * i // workers for i in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_collect_range, config, schedule, a, b, groups)
+            pool.submit(_collect_range, config, schedule, a, b)
             for a, b in zip(edges, edges[1:])
         ]
         merged, *rest = [fut.result() for fut in futures]

@@ -26,6 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# Input limits: past 2^53 beams K is not exact as a float (and past about
+# 1.8e308 it overflows one); the closed forms cost O(L^2) in L.
+MAX_BEAMS = 2**53
+MAX_USES = 1024
+
 
 def binary_entropy(p: float) -> float:
     """Binary entropy of ``p`` in bits, with the convention 0*log2(0) = 0.
@@ -94,9 +99,9 @@ class ModelConfig:
     Attributes
     ----------
     K : int
-        Number of beams, K >= 2.
+        Number of beams, 2 <= K <= MAX_BEAMS.
     L : int
-        Block length (channel uses per block), L >= 1.
+        Block length (channel uses per block), 1 <= L <= MAX_USES.
     B : float
         Per-symbol cost budget (maximum number of probed beams), B > 0.
     seed : int
@@ -114,8 +119,12 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.K, int) or self.K < 2:
             raise ValueError(f"K must be an integer >= 2, got {self.K!r}")
+        if self.K > MAX_BEAMS:
+            raise ValueError(f"K must be at most 2**53 = {MAX_BEAMS}")
         if not isinstance(self.L, int) or self.L < 1:
             raise ValueError(f"L must be an integer >= 1, got {self.L!r}")
+        if self.L > MAX_USES:
+            raise ValueError(f"L must be at most {MAX_USES}, got {self.L}")
         if not self.B > 0:
             raise ValueError(f"B must be positive, got {self.B!r}")
         if self.B > self.K:
@@ -168,7 +177,7 @@ def compute_schedule(K: int, B: float, L: int) -> ExplorationSchedule:
     >>> compute_schedule(32, 8, 5).c
     (8.0, 8.0, 8.0, 4.0, 2.0)
     """
-    if K < 2 or L < 1 or not 0 < B <= K:
+    if not (2 <= K <= MAX_BEAMS and 1 <= L <= MAX_USES and 0 < B <= K):
         raise ValueError(f"invalid schedule arguments K={K}, B={B}, L={L}")
     c: list[float] = []
     cum: list[float] = []

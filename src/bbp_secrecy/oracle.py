@@ -17,8 +17,10 @@ closed-form per-step entropies, every tabulated prefix mass/flip
 probability, and the leakage rate under both T3 coefficient variants,
 declaring which variant reproduces the exact deep-prefix contribution.
 
-Guard rails: K <= 8, L <= 4 and an integer schedule; anything else is
-refused.
+The law runs on the floored schedule ``c_int``, the probe sizes the
+simulator uses, so any budget B is accepted; a fractional schedule only
+adds a report note.  Guard rails: K <= 8 and L <= 4, checked before any
+schedule is built; anything larger is refused.
 """
 
 from __future__ import annotations
@@ -45,16 +47,7 @@ COINCIDENT, IN_POOL, OUT_OF_POOL = 0, 1, 2
 
 
 class GuardRailError(ValueError):
-    """Instance too large (or ill-formed) for the exact law."""
-
-
-def _check_guard_rails(K: int, B: float, L: int) -> ExplorationSchedule:
-    sched = compute_schedule(K, B, L)
-    if K > MAX_K or L > MAX_L:
-        raise GuardRailError(f"exact law limited to K <= {MAX_K}, L <= {MAX_L}; got K={K}, L={L}")
-    if not sched.is_integral:
-        raise GuardRailError(f"exact law needs an integer schedule; got c={list(sched.c)}")
-    return sched
+    """Instance too large for the exact law (K > MAX_K or L > MAX_L)."""
 
 
 def _lumped_law(K: int, c_int: tuple[int, ...], L: int) -> dict:
@@ -132,32 +125,20 @@ class EnumerationResult:
             return None
         return cell[1] / cell[0]
 
-    def deep_prefix_sum(self) -> float:
-        """Entropy contribution of the prefixes 0^k 1^(j-1-k), k in [1, j-3].
-
-        This is the exact counterpart of the closed-form T3 sum (per block,
-        not divided by L), used to adjudicate the coefficient variants.
-        """
-        acc = 0.0
-        for j in range(4, self.L + 1):
-            for k in range(1, j - 2):
-                prefix = (0,) * k + (1,) * (j - 1 - k)
-                mass = self.prefix_mass(j, prefix)
-                flip = self.prefix_flip(j, prefix)
-                if flip is not None:
-                    acc += float(mass) * binary_entropy(float(flip))
-        return acc
-
 
 def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
     """Exact joint feedback law for one instance, with its derived rates.
 
+    The law is that of the floored schedule ``c_int``, as simulated.
+
     Raises
     ------
     GuardRailError
-        If K > 8, L > 4 or the schedule is not integral.
+        If K > 8 or L > 4.
     """
-    sched = _check_guard_rails(K, B, L)
+    if K > MAX_K or L > MAX_L:
+        raise GuardRailError(f"exact law limited to K <= {MAX_K}, L <= {MAX_L}; got K={K}, L={L}")
+    sched = compute_schedule(K, B, L)
     law = _lumped_law(K, sched.c_int, L)
 
     total = sum(law.values(), Fraction(0))
@@ -278,9 +259,7 @@ class VerificationReport:
 
 def _degeneracy_notes(sched: ExplorationSchedule, L: int, rows: list[ReportRow]) -> list[str]:
     notes = []
-    singleton_dets = [
-        k for k in range(1, L) if sched.c_int[k - 1] < 2 ** (L - k)
-    ]
+    singleton_dets = [k for k in range(1, L) if sched.c_int[k - 1] < 2 ** (L - k)]
     mass_bad = any(
         r.quantity.startswith("prefix_mass") and r.abs_dev > TOL and not r.informational
         for r in rows
@@ -326,8 +305,15 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
     if L >= 2:
         rows.append(ReportRow("outer_bound", outer_bound(K, B, L), enum.main_rate))
 
-    table = prefix_probability_table(K, B, L)
-    for (j, k), e in sorted(table.entries.items()):
+    # The T3 variants differ only on the deep prefixes 0^k 1^(j-1-k), k >= 1,
+    # post-detection entries that first occur at j = 4.
+    t3 = T3Adjudication(applicable=L >= 4)
+    tables = {
+        v: prefix_probability_table(K, B, L, t3_variant=v).entries
+        for v in (T3_VARIANTS if t3.applicable else T3_VARIANTS[:1])
+    }
+    deep_closed = dict.fromkeys(tables, 0.0)
+    for (j, k), e in sorted(tables["as_printed"].items()):
         prefix = tuple(int(ch) for ch in e.prefix)
         label = e.prefix if e.prefix else "empty"
         informational = e.kind == "post_detection"
@@ -336,39 +322,32 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
         flip = enum.prefix_flip(j, prefix)
         if flip is not None:
             rows.append(ReportRow(f"prefix_flip_j{j}_p{label}", e.flip, float(flip)))
+        if informational and k >= 1:
+            if flip is not None:
+                t3.oracle_value += mass * binary_entropy(float(flip))
+            for v, entries in tables.items():
+                d = entries[(j, k)]
+                deep_closed[v] += d.mass * binary_entropy(d.flip)
     rows.append(ReportRow("flip_mass_after_joint_10", 0.0, float(enum.mixed_mass_10)))
     rows.append(ReportRow("flip_mass_after_joint_01", 0.0, float(enum.mixed_mass_01)))
 
-    variants_differ = L >= 4
-    for variant in T3_VARIANTS:
-        name = f"leakage_rate[t3={variant}]" if variants_differ else "leakage_rate"
-        rows.append(
-            ReportRow(
-                name,
-                leakage_rate(K, B, L, t3_variant=variant),
-                enum.leakage,
-                informational=variants_differ,
-            )
-        )
-        if not variants_differ:
-            break  # variants coincide for L <= 3; one row is enough
+    for variant in tables:  # the variants coincide for L <= 3; one row is enough
+        name = f"leakage_rate[t3={variant}]" if t3.applicable else "leakage_rate"
+        leak = leakage_rate(K, B, L, t3_variant=variant)
+        rows.append(ReportRow(name, leak, enum.leakage, informational=t3.applicable))
 
-    t3 = T3Adjudication(applicable=L >= 4)
     if t3.applicable:
-        t3.oracle_value = enum.deep_prefix_sum()
-        for variant in T3_VARIANTS:
-            if variant != table.t3_variant:
-                table = prefix_probability_table(K, B, L, t3_variant=variant)
-            t3.variant_values[variant] = sum(
-                e.mass * binary_entropy(e.flip)
-                for (_, k), e in table.entries.items()
-                if e.kind == "post_detection" and k >= 1
-            )
+        t3.variant_values = deep_closed
         devs = {v: abs(val - t3.oracle_value) for v, val in t3.variant_values.items()}
         t3.matching = [v for v, d in devs.items() if d <= TOL]
         t3.closest = min(devs, key=devs.get)
 
     notes = _degeneracy_notes(sched, L, rows)
+    if not sched.is_integral:
+        notes.append(
+            f"the schedule is fractional; the exact law uses the floored schedule "
+            f"{list(sched.c_int)}, as the simulator does"
+        )
     return VerificationReport(
         K=K, B=float(B), L=L, schedule=sched, tol=TOL, rows=rows, t3=t3, notes=notes
     )

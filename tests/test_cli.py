@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbp_secrecy import cli
+from bbp_secrecy.estimators import MAX_SIMULATED_BEAMS, collect_stats
+from bbp_secrecy.model import MAX_USES, ModelConfig, compute_schedule
 
 
 def run(capsys, *argv):
@@ -253,26 +255,114 @@ def test_config_file_bad_typed_value_exits_usage(tmp_path, capsys):
     assert "bad L list: 'abc'" in capsys.readouterr().err
 
 
-CONFIG_VALUES = st.text(alphabet=string.digits + ".-" + string.ascii_letters, max_size=3)
+# Small integers let some draws be valid instances that run to the end.
+SMALL_INTS = st.integers(-1, 12).map(str)
+CONFIG_VALUES = SMALL_INTS | st.text(alphabet=string.digits + ".-" + string.ascii_letters, max_size=3)
+# Config keys each subcommand reads besides K, B and L.  "out" and
+# "dump-transcripts" are never drawn, so no file lands outside tmp_path.
+OWN_KEYS = {"bounds": [], "verify": [], "simulate": ["seed", "blocks"], "sweep": ["B-start", "B-step"]}
+
+
+def _fixed_flags(command, tmp):
+    """Flags put last, so they win: a 3-block simulation, a 4-budget sweep into tmp."""
+    if command == "simulate":
+        return ["--blocks", "3"]
+    if command == "sweep":
+        return ["--B-stop", "4", "--out", str(tmp / "g.csv")]
+    return []
+
+
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(OWN_KEYS)))
+def test_config_file_exit_codes(tmp_path_factory, data, command):
+    keys = ["K", "B", "L", "config", "bogus", *OWN_KEYS[command]]
+    entries = data.draw(st.lists(st.tuples(st.sampled_from(keys), CONFIG_VALUES), max_size=5))
+    tmp = tmp_path_factory.mktemp("cfg")
+    cfg = tmp / "run.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in entries))
+    assert _exit_code([command, "--config", str(cfg), *_fixed_flags(command, tmp)]) in (0, 1, 2, 3)
+
+
+# Every option name, abbreviations (one ambiguous) and malformed flags.  No
+# value starts with "-" unless listed, so none abbreviates --out or
+# --dump-transcripts.
+FLAG_TOKENS = [
+    "--K", "--B", "--L", "--seed", "--blocks", "--B-start", "--B-stop", "--B-step",
+    "--config", "--blo", "--B-st", "--bogus", "--K=", "-K", "--", "-h",
+]
+ARGV_VALUES = (
+    SMALL_INTS
+    | st.text(alphabet=string.digits + ".e" + string.ascii_letters, max_size=2)
+    | st.sampled_from(["-0.5", "1e9", "nan", "inf"])
+)
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    command=st.sampled_from(["bounds", "verify"]),
-    entries=st.lists(
-        st.tuples(st.sampled_from(["K", "B", "L", "config", "bogus"]), CONFIG_VALUES),
-        max_size=5,
-    ),
+    command=st.sampled_from(sorted(OWN_KEYS)),
+    tokens=st.lists(st.sampled_from(FLAG_TOKENS) | ARGV_VALUES, max_size=8),
 )
-def test_config_file_exit_codes(tmp_path_factory, command, entries):
-    cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
-    cfg.write_text("".join(f"{key}={value}\n" for key, value in entries))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.main([command, "--config", str(cfg)])
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 1, 2, 3)
+def test_command_line_exit_codes(tmp_path_factory, command, tokens):
+    tmp = tmp_path_factory.mktemp("argv")
+    assert _exit_code([command, *tokens, *_fixed_flags(command, tmp)]) in (0, 1, 2, 3)
+
+
+def _assert_one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("bbp-secrecy: error:"), err
+
+
+def test_k_beyond_float_range_exits_usage(tmp_path, capsys):
+    # 10^400 beams overflowed a float in compute_schedule before the bound.
+    with pytest.raises(ValueError):
+        compute_schedule(10**400, 2, 2)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        ModelConfig(K=2**53 + 1, L=2, B=2)
+    huge = str(10**400)
+    for argv in (
+        ["bounds", "--K", huge, "--B", "2", "--L", "2"],
+        ["verify", "--K", huge, "--B", "2", "--L", "2"],
+        ["simulate", "--K", huge, "--B", "2", "--L", "2", "--blocks", "1"],
+        ["sweep", "--K", huge, "--out", str(tmp_path / "g.csv")],
+    ):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 1
+        _assert_one_error_line(err)
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_block_length_over_limit_exits_usage(tmp_path, capsys):
+    assert compute_schedule(8, 2, MAX_USES).L == MAX_USES
+    with pytest.raises(ValueError):
+        compute_schedule(8, 2, MAX_USES + 1)
+    too_long = str(MAX_USES + 1)
+    for argv in (
+        ["bounds", "--K", "8", "--B", "2", "--L", too_long],
+        ["verify", "--K", "8", "--B", "2", "--L", str(10**9)],
+        ["simulate", "--K", "8", "--B", "2", "--L", too_long, "--blocks", "1"],
+        ["sweep", "--K", "8", "--L", f"2,{too_long}", "--out", str(tmp_path / "g.csv")],
+    ):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 1
+        _assert_one_error_line(err)
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_simulate_pool_over_limit_exits_usage(capsys):
+    with pytest.raises(ValueError, match="K <= 2\\*\\*20"):
+        collect_stats(ModelConfig(K=MAX_SIMULATED_BEAMS + 1, L=2, B=2, blocks=1))
+    argv = ["simulate", "--K", str(MAX_SIMULATED_BEAMS + 1), "--B", "2", "--L", "2", "--blocks", "1"]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 1
+    _assert_one_error_line(err)
 
 
 def test_cli_import_loads_no_numpy():

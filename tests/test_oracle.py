@@ -24,12 +24,13 @@ from bbp_secrecy.oracle import (
     verify_against_closed_forms,
 )
 
+# Every instance within the guard rails with B in steps of 0.5 (an integer B
+# stays an int); 198 of the 280 have a fractional, floored schedule.
 ENUMERABLE_CASES = [
-    (K, B, L)
+    (K, h / 2 if h % 2 else h // 2, L)
     for K in range(2, MAX_K + 1)
-    for B in range(1, K + 1)
+    for h in range(1, 2 * K + 1)
     for L in range(1, MAX_L + 1)
-    if compute_schedule(K, B, L).is_integral
 ]
 
 
@@ -78,17 +79,33 @@ def _walked_mixture(K, B, L):
 
 @pytest.mark.parametrize("K,B,L", ENUMERABLE_CASES)
 def test_lumped_law_equals_probe_path_walk(K, B, L):
-    assert exact_enumeration(K, B, L).law == _walked_mixture(K, B, L)
+    enum = exact_enumeration(K, B, L)
+    assert enum.law == _walked_mixture(K, B, L)
+    assert enum.total_mass == 1
 
 
-def test_guard_rails_refuse_large_or_fractional_cases():
+def test_guard_rails_refuse_large_cases_only():
     with pytest.raises(GuardRailError, match="K <= 8"):
         exact_enumeration(16, 4, 2)
     with pytest.raises(GuardRailError, match="L <= 4"):
         exact_enumeration(8, 2, 5)
-    with pytest.raises(GuardRailError, match="integer schedule"):
-        exact_enumeration(8, 3, 2)
+    # Refused before any schedule is built: 10^9 steps would take minutes.
+    with pytest.raises(GuardRailError, match="L <= 4"):
+        exact_enumeration(8, 2, 10**9)
     assert issubclass(GuardRailError, ValueError)
+    # A fractional schedule is floored, as in the simulator: c = [3, 2.5].
+    enum = exact_enumeration(8, 3, 2)
+    assert enum.schedule.c_int == (3, 2)
+    assert enum.law == _walked_mixture(8, 3, 2)
+
+
+def test_fractional_schedule_report_names_the_floored_schedule():
+    report = verify_against_closed_forms(2, 1, 2)
+    assert report.schedule.c == (1.0, 0.5)
+    assert report.notes[-1] == (
+        "the schedule is fractional; the exact law uses the floored schedule "
+        "[1, 0], as the simulator does"
+    )
 
 
 @pytest.mark.parametrize("K,B,L", [(8, 2, 3), (4, 1, 2), (8, 2, 4)])
@@ -179,7 +196,9 @@ def _chi2_upper_tail(x, dof):
     return 0.5 * math.erfc(z / math.sqrt(2))
 
 
-@pytest.mark.parametrize("K,B,L", [(8, 2, 2), (8, 2, 4), (7, 3, 3), (8, 1, 4)])
+@pytest.mark.parametrize(
+    "K,B,L", [(8, 2, 2), (8, 2, 4), (7, 3, 3), (8, 1, 4), (2, 1, 2), (5, 2, 4), (8, 3, 3)]
+)
 def test_enumeration_matches_monte_carlo(K, B, L):
     # G-test of the simulated pattern histogram against the exact law; cells
     # expecting fewer than 5 blocks are pooled into one.
