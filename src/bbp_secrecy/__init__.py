@@ -2,7 +2,6 @@
 
 from .bounds import (
     BoundPoint,
-    PrefixProbabilityTable,
     bound_point,
     inner_bound,
     leakage_rate,
@@ -35,7 +34,6 @@ __all__ = [
     "GuardRailError",
     "ModelConfig",
     "PolicyState",
-    "PrefixProbabilityTable",
     "RateEstimate",
     "TranscriptStats",
     "VerificationReport",

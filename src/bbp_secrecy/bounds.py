@@ -54,7 +54,8 @@ class PrefixEntry:
     ``mass`` is the closed-form probability of observing the prefix;
     ``flip`` the closed-form P(Y_j^e = 1 | prefix).  ``kind`` is one of
     ``unexplored`` (all-zero prefix), ``just_hit`` (single trailing one) or
-    ``post_detection`` (two or more trailing ones).
+    ``post_detection`` (two or more trailing ones).  (j, k) identifies the
+    entry; ``prefix`` spells it out for display.
     """
 
     j: int
@@ -63,17 +64,6 @@ class PrefixEntry:
     mass: float
     flip: float
     kind: str
-
-
-@dataclass(frozen=True)
-class PrefixProbabilityTable:
-    """All tabulated prefix entries for one instance, keyed by (j, k)."""
-
-    K: int
-    B: float
-    L: int
-    t3_variant: str
-    entries: dict[tuple[int, int], PrefixEntry]
 
 
 def _share(c: float, rem: float) -> float:
@@ -96,8 +86,8 @@ def _deep_mass(K: int, sched: ExplorationSchedule, j: int, k: int, t3_variant: s
 
 def prefix_probability_table(
     K: int, B: float, L: int, t3_variant: str = "as_printed"
-) -> PrefixProbabilityTable:
-    """Tabulate closed-form prefix masses and flip probabilities.
+) -> dict[tuple[int, int], PrefixEntry]:
+    """Tabulate closed-form prefix masses and flip probabilities, keyed by (j, k).
 
     For each step j the monotone prefixes 0^k 1^(j-1-k), k in [0, j-1], are
     listed.  Non-monotone prefixes carry the remaining probability mass and
@@ -124,7 +114,7 @@ def prefix_probability_table(
                 flip = 0.5
                 kind = "post_detection"
             entries[(j, k)] = PrefixEntry(j=j, k=k, prefix=prefix, mass=mass, flip=flip, kind=kind)
-    return PrefixProbabilityTable(K=K, B=float(B), L=L, t3_variant=t3_variant, entries=entries)
+    return entries
 
 
 def main_step_entropies(K: int, B: float, L: int) -> list[float]:

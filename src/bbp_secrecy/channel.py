@@ -75,9 +75,9 @@ class PolicyState(NamedTuple):
     drawn from (all K beams before step 1) and ``probed`` that probe's
     beams in draw order.
     ``detection_time`` is the step of the first legitimate hit, if any.
-    ``clamp_count`` counts probe sizes clamped to the pool size (possible
-    only with fractional schedules after flooring).  ``pool`` is shared
-    between states and never mutated.
+    ``clamp_count`` counts probe sizes clamped to the pool size; the clamp
+    is a guard that no schedule reaches, so the count stays 0.  ``pool`` is
+    shared between states and never mutated.
     """
 
     pool: list[int]

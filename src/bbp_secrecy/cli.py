@@ -21,12 +21,7 @@ import argparse
 import math
 import sys
 
-from .bounds import (
-    bound_point,
-    leakage_rate,
-    main_entropy_rate,
-    prefix_probability_table,
-)
+from .bounds import bound_point, leakage_rate, main_entropy_rate
 from .estimators import estimate_rates, unseen_table_prefixes
 from .model import ModelConfig, compute_schedule
 from .oracle import GuardRailError, verify_against_closed_forms
@@ -146,7 +141,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     closed_main = main_entropy_rate(args.K, args.B, args.L)
     closed_leak = leakage_rate(args.K, args.B, args.L)
-    table = prefix_probability_table(args.K, args.B, args.L)
 
     def z(est, closed):
         if est.stderr == 0.0:
@@ -168,7 +162,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(
         f"clamped_probes={stats.clamped_probes} "
         f"cost_violations={stats.cost_violations} "
-        f"unseen_table_prefixes={len(unseen_table_prefixes(stats, table))}"
+        f"unseen_table_prefixes={len(unseen_table_prefixes(stats))}"
     )
     if args.dump_transcripts:
         print(f"transcripts written to {args.dump_transcripts}")

@@ -10,9 +10,9 @@ The block transcripts are reduced to a pair of packed L-bit patterns
 (y_l, y_e), counted in a dictionary; every prefix statistic is derived from
 those pattern counts by ``model.prefix_cells``, the same code the exact
 oracle runs on its law.  Standard errors come from batch means: blocks are
-split into ``GROUPS`` contiguous groups, the plug-in rate is recomputed per
-group, and the standard error is the group standard deviation divided by
-sqrt(GROUPS).
+split into min(``GROUPS``, blocks) contiguous groups, the plug-in rate is
+recomputed per non-empty group, and the standard error is the standard
+deviation of those group rates divided by the square root of their number.
 
 Parallelism: blocks are sharded into contiguous ranges; each block draws
 its generator from (seed, block index), so the merged counts are identical
@@ -68,6 +68,8 @@ class TranscriptStats:
 
         Keys are the first j-1 feedback bits packed as an integer.
         """
+        if which not in ("legit", "eav"):
+            raise ValueError(f"stream must be 'legit' or 'eav', got {which!r}")
         stream = 0 if which == "legit" else 1
         return prefix_cells(self.pattern_counts, stream, j)[j - 1]
 
@@ -191,15 +193,16 @@ def estimate_rates(
     return _rate_estimate(stats, 0), _rate_estimate(stats, 1), stats
 
 
-def unseen_table_prefixes(stats: TranscriptStats, table) -> list[tuple[int, str]]:
-    """Closed-form table prefixes never observed in the sample.
+def unseen_table_prefixes(stats: TranscriptStats) -> list[tuple[int, int]]:
+    """(j, k) of every closed-form table prefix 0^k 1^(j-1-k) the sample never saw.
 
     Unseen prefixes contribute zero to the plug-in rates; callers may want
     to log them when comparing against the closed forms.
     """
     seen = prefix_cells(stats.pattern_counts, 1, stats.L)
     return [
-        (j, entry.prefix)
-        for (j, _k), entry in sorted(table.entries.items())
-        if pack_bits(int(ch) for ch in entry.prefix) not in seen[j - 1]
+        (j, k)
+        for j in range(1, stats.L + 1)
+        for k in range(j)
+        if ((1 << (j - 1 - k)) - 1) << k not in seen[j - 1]
     ]

@@ -129,10 +129,10 @@ class ModelConfig:
             raise ValueError(f"B must be positive, got {self.B!r}")
         if self.B > self.K:
             raise ValueError(f"B={self.B!r} exceeds the number of beams K={self.K}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-        if self.blocks < 0:
-            raise ValueError("blocks must be non-negative")
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if not isinstance(self.blocks, int) or self.blocks < 0:
+            raise ValueError(f"blocks must be a non-negative integer, got {self.blocks!r}")
 
 
 @dataclass(frozen=True)

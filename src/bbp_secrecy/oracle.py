@@ -309,12 +309,12 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
     # post-detection entries that first occur at j = 4.
     t3 = T3Adjudication(applicable=L >= 4)
     tables = {
-        v: prefix_probability_table(K, B, L, t3_variant=v).entries
+        v: prefix_probability_table(K, B, L, t3_variant=v)
         for v in (T3_VARIANTS if t3.applicable else T3_VARIANTS[:1])
     }
     deep_closed = dict.fromkeys(tables, 0.0)
     for (j, k), e in sorted(tables["as_printed"].items()):
-        prefix = tuple(int(ch) for ch in e.prefix)
+        prefix = (0,) * k + (1,) * (j - 1 - k)
         label = e.prefix if e.prefix else "empty"
         informational = e.kind == "post_detection"
         mass = float(enum.prefix_mass(j, prefix))

@@ -166,7 +166,7 @@ def test_c6_leakage_within_three_sigma(mc_run):
 
 
 def _flip_cases():
-    for (j, k), entry in sorted(MC_TABLE.entries.items()):
+    for (j, k), entry in sorted(MC_TABLE.items()):
         if entry.flip is None:
             continue
         yield pytest.param(j, entry.prefix, float(entry.flip), id=f"j{j}-{entry.prefix or 'empty'}")

@@ -169,7 +169,7 @@ def test_bounds_defined_once_schedule_uses_up_all_beams(K, B, L):
     assert 0.0 <= pt.inner <= pt.outer <= 1.0
     assert main_step_entropies(K, B, L)[-1] == 1.0
     table = prefix_probability_table(K, B, L)
-    assert table.entries[(L, L - 2)].mass == 0.0
+    assert table[(L, L - 2)].mass == 0.0
 
 
 @pytest.mark.parametrize("variant", T3_VARIANTS)
@@ -180,7 +180,7 @@ def test_leakage_matches_table_sum(K, B, L, variant):
     table = prefix_probability_table(K, B, L, t3_variant=variant)
     total = sum(
         e.mass * binary_entropy(e.flip)
-        for (j, k), e in table.entries.items()
+        for (j, k), e in table.items()
         if not (e.kind == "post_detection" and k == 0)
     )
     assert total / L == pytest.approx(
@@ -190,25 +190,25 @@ def test_leakage_matches_table_sum(K, B, L, variant):
 
 def test_table_entries_hand_checked():
     table = prefix_probability_table(8, 2, 3)
-    empty = table.entries[(1, 0)]
+    empty = table[(1, 0)]
     assert empty.prefix == "" and empty.mass == 1.0 and empty.flip == 0.25
-    just_hit = table.entries[(3, 1)]
+    just_hit = table[(3, 1)]
     assert just_hit.prefix == "01"
     assert just_hit.mass == pytest.approx(2 * 6 / 64, abs=1e-15)
     assert just_hit.flip == pytest.approx(0.5 * 2 / 6, abs=1e-15)
-    deep = table.entries[(3, 0)]
+    deep = table[(3, 0)]
     assert deep.prefix == "11" and deep.flip == 0.5
     assert deep.mass == pytest.approx(1 / 256, abs=1e-18)
-    deep_summed = prefix_probability_table(8, 2, 3, t3_variant="state_summed").entries[(3, 0)]
+    deep_summed = prefix_probability_table(8, 2, 3, t3_variant="state_summed")[(3, 0)]
     assert deep_summed.mass == pytest.approx(1 / 32, abs=1e-18)
 
 
 def test_table_layout_covers_monotone_prefixes():
     table = prefix_probability_table(32, 8, 5)
     for j in range(1, 6):
-        prefixes = {e.prefix for (jj, _), e in table.entries.items() if jj == j}
+        prefixes = {e.prefix for (jj, _), e in table.items() if jj == j}
         assert prefixes == {"0" * k + "1" * (j - 1 - k) for k in range(j)}
-    kinds = {e.kind for e in table.entries.values()}
+    kinds = {e.kind for e in table.values()}
     assert kinds == {"unexplored", "just_hit", "post_detection"}
 
 

@@ -209,7 +209,7 @@ def test_fractional_schedule_probes_nothing_on_floored_zero():
     for word in block_seeds(cfg.seed, 0, 50):
         tr = simulate_block(cfg, sched, random.Random(word))
         if tr.y_l[0] == 1:
-            # detected: half of a single beam clamps to that same beam
+            # detected: half of a single beam is floored up to that same beam
             assert tr.probes[1] == tr.probes[0]
             assert tr.y_l[1] == 1
         else:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbp_secrecy import cli
+from bbp_secrecy import bounds, cli
 from bbp_secrecy.estimators import MAX_SIMULATED_BEAMS, collect_stats
 from bbp_secrecy.model import MAX_USES, ModelConfig, compute_schedule
 
@@ -149,6 +149,22 @@ def test_simulate_output_frozen(capsys):
     assert lines[2].startswith("leakage   estimate=0.7329432798 ")
     assert lines[3] == "clamped_probes=0 cost_violations=0 unseen_table_prefixes=0"
     assert err == ""
+
+
+def test_simulate_builds_no_prefix_table(capsys, monkeypatch):
+    # The unseen-prefix count needs only (j, k), not a table of L(L+1)/2
+    # entries, so a long block costs no more than its simulation.
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate built a prefix table entry")
+
+    monkeypatch.setattr(bounds, "PrefixEntry", refuse)
+    rc, out, _ = run(
+        capsys, "simulate", "--K", "64", "--B", "4", "--L", "400", "--blocks", "3"
+    )
+    assert rc == 0
+    assert out.splitlines()[3] == (
+        "clamped_probes=0 cost_violations=0 unseen_table_prefixes=79799"
+    )
 
 
 def test_simulate_rejects_zero_blocks(capsys):

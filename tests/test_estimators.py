@@ -110,19 +110,29 @@ def test_transcript_dump_agrees_with_counts(tmp_path):
 
 
 def test_unseen_prefixes_shrink_with_sample_size():
-    table = prefix_probability_table(32, 8, 5)
     tiny = collect_stats(ModelConfig(K=32, L=5, B=8, seed=3, blocks=10))
-    missing = unseen_table_prefixes(tiny, table)
-    assert missing == [
-        (3, "11"),
-        (4, "111"),
-        (4, "011"),
-        (5, "1111"),
-        (5, "0111"),
-        (5, "0011"),
-    ]
+    missing = unseen_table_prefixes(tiny)
+    # (j, k) names the prefix 0^k 1^(j-1-k): "11", "111", "011", ...
+    assert missing == [(3, 0), (4, 0), (4, 1), (5, 0), (5, 1), (5, 2)]
     larger = collect_stats(ModelConfig(K=32, L=5, B=8, seed=3, blocks=300))
-    assert unseen_table_prefixes(larger, table) == []
+    assert unseen_table_prefixes(larger) == []
+
+
+@pytest.mark.parametrize(
+    "K,B,L,blocks",
+    [(4, 1, 1, 5), (2, 0.5, 3, 4), (5, 1.5, 6, 20), (32, 8, 5, 10), (9, 2.5, 8, 50)],
+)
+def test_unseen_prefixes_are_the_unseen_table_keys(K, B, L, blocks):
+    stats = collect_stats(ModelConfig(K=K, L=L, B=B, seed=2, blocks=blocks))
+    table = prefix_probability_table(K, B, L)
+    # Read each entry's bits from its display string, independently of the
+    # arithmetic packing that unseen_table_prefixes uses.
+    unseen = [
+        (j, k)
+        for (j, k), e in sorted(table.items())
+        if int(e.prefix[::-1] or "0", 2) not in stats.prefix_stats("eav", j)
+    ]
+    assert unseen_table_prefixes(stats) == unseen
 
 
 @pytest.mark.parametrize("K,B,L", [(2, 1, 2), (5, 3, 4), (7, 2, 5)])
@@ -130,3 +140,10 @@ def test_no_clamps_or_budget_violations(K, B, L):
     stats = collect_stats(ModelConfig(K=K, L=L, B=B, seed=1, blocks=1000))
     assert stats.clamped_probes == 0
     assert stats.cost_violations == 0
+
+
+def test_prefix_stats_rejects_unknown_stream():
+    stats = collect_stats(ModelConfig(K=8, L=3, B=2, seed=1, blocks=20))
+    assert stats.prefix_stats("legit", 2) != stats.prefix_stats("eav", 2)
+    with pytest.raises(ValueError):
+        stats.prefix_stats("main", 3)

@@ -120,6 +120,8 @@ def test_schedule_saturates_at_half_k(L):
         dict(K=4, L=2, B=1, seed=-1),
         dict(K=4, L=2, B=1, seed=2**64),
         dict(K=4, L=2, B=1, blocks=-5),
+        dict(K=4, L=2, B=1, seed=1.5),
+        dict(K=4, L=2, B=1, blocks=2.5),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
