@@ -18,7 +18,7 @@ actually probed by the simulator.
 A block's feedback is a pair of L-bit patterns (y_l, y_e), each packed into
 an integer.  ``prefix_cells`` and ``step_entropies`` give the per-prefix
 statistics of a law over such pairs, for the Monte Carlo counts and the
-exact ``Fraction`` law alike.
+exact law's integer weights alike.
 """
 
 from __future__ import annotations
@@ -58,11 +58,11 @@ def pack_bits(bits) -> int:
 def prefix_cells(law, stream: int, L: int) -> list[dict[int, list]]:
     """Per-step ``[mass, ones]`` cell of every feedback prefix of one stream.
 
-    ``law`` maps packed (y_l, y_e) pairs to integer counts or ``Fraction``
-    probabilities; ``stream`` selects y_l (0) or y_e (1).  Entry j-1 maps
-    each packed (j-1)-bit prefix to the weight of the patterns that start
-    with it and the weight of those among them with bit j set, in the order
-    the prefixes first occur in ``law``.
+    ``law`` maps packed (y_l, y_e) pairs to integer weights: block counts, or
+    exact weights over a common denominator.  ``stream`` selects y_l (0) or
+    y_e (1).  Entry j-1 maps each packed (j-1)-bit prefix to the weight of
+    the patterns that start with it and the weight of those among them with
+    bit j set, in the order the prefixes first occur in ``law``.
     """
     cells: list[dict[int, list]] = [{} for _ in range(L)]
     masks = [(1 << j) - 1 for j in range(L)]

@@ -2,11 +2,12 @@
 
 ``exact_enumeration`` returns the full joint law of the feedback pair
 (y_l, y_e) with exact ``fractions.Fraction`` probabilities, from one forward
-pass over a lumped Markov chain.  Probes are uniform subsets of the pool, so
-beam labels are exchangeable: a state is the feedback so far, the pool size,
-the step of the first legitimate hit (0 while exploring) and where the
-eavesdropper sits (coincident, elsewhere in the pool, or outside it), and
-each step branches hypergeometrically.  Lumping is exact (Kemeny & Snell,
+pass over a lumped Markov chain whose weights are plain integers over one
+common denominator.  Probes are uniform subsets of the pool, so beam labels
+are exchangeable: a state is the feedback so far, the pool size, the step of
+the first legitimate hit (0 while exploring) and where the eavesdropper sits
+(coincident, elsewhere in the pool, or outside it), and each step branches
+hypergeometrically.  Lumping is exact (Kemeny & Snell,
 *Finite Markov Chains*, 6.3).  The policy transition is re-implemented here
 on purpose — the law must stay independent of the simulator it is used to
 check.  The statistics of the law (prefix cells, step entropies) are not:
@@ -25,6 +26,7 @@ schedule is built; anything larger is refused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,7 +34,6 @@ from .bounds import (
     T3_VARIANTS,
     leakage_rate,
     main_step_entropies,
-    outer_bound,
     prefix_probability_table,
 )
 from .model import ExplorationSchedule, binary_entropy, compute_schedule
@@ -50,7 +51,7 @@ class GuardRailError(ValueError):
     """Instance too large for the exact law (K > MAX_K or L > MAX_L)."""
 
 
-def _lumped_law(K: int, c_int: tuple[int, ...], L: int) -> dict:
+def _lumped_law(K: int, c_int: tuple[int, ...], L: int) -> tuple[dict, int]:
     """Joint law of (y_l, y_e), averaged over uniform receiver states.
 
     A probe takes q of the n pool beams: c_j while exploring, and after a
@@ -60,36 +61,52 @@ def _lumped_law(K: int, c_int: tuple[int, ...], L: int) -> dict:
     after that hit or q/(n - 1) after a miss.  The next pool is the probe
     after a hit and the rest after a miss; the eavesdropper stays in it only
     when its bit equals the legitimate one.
+
+    Weights are integers over one common denominator D, returned with the
+    law: each step brings every state to the lcm of the step's branch
+    denominators, n(n - 1) with an in-pool eavesdropper and n otherwise, so
+    the probabilities are exactly weight / D.
     """
     frontier = {
-        ((), (), K, 0, COINCIDENT): Fraction(1, K),
-        ((), (), K, 0, IN_POOL): Fraction(K - 1, K),
+        ((), (), K, 0, COINCIDENT): 1,
+        ((), (), K, 0, IN_POOL): K - 1,
     }
+    denominator = K
     for j in range(1, L + 1):
+        # Every kept state has n >= 2 with an in-pool eavesdropper (n >= 1
+        # otherwise): the zero-weight branches that would reach n = 1 with it
+        # in the pool, or n = 0, are skipped below.  A zero denominator would
+        # make the lcm, and so every weight, 0.
+        dens = {
+            (n, place): n * (n - 1) if place == IN_POOL else n
+            for _, _, n, _, place in frontier
+        }
+        scale = math.lcm(*dens.values())
+        denominator *= scale
         step: dict = {}
         for (yl, ye, n, det, place), w in frontier.items():
             q = min(max(c_int[det - 1] >> (j - det), 1) if det else c_int[j - 1], n)
-            # Skip zero-weight branches: they reach n = 0, or n = 1 with an in-pool eavesdropper.
-            for bl, p_l in ((1, Fraction(q, n)), (0, Fraction(n - q, n))):
-                if not p_l:
+            w *= scale // dens[n, place]
+            for bl, w_l in ((1, q), (0, n - q)):
+                if not w_l:
                     continue
                 if place == IN_POOL:
-                    p_e = Fraction(q - bl, n - 1)
+                    hits_e = q - bl
                     eav = (
-                        (1, p_e, IN_POOL if bl else OUT_OF_POOL),
-                        (0, 1 - p_e, OUT_OF_POOL if bl else IN_POOL),
+                        (1, hits_e, IN_POOL if bl else OUT_OF_POOL),
+                        (0, n - 1 - hits_e, OUT_OF_POOL if bl else IN_POOL),
                     )
                 else:
                     eav = ((bl if place == COINCIDENT else 0, 1, place),)
-                for be, p_e, where in eav:
-                    if p_e:
+                for be, w_e, where in eav:
+                    if w_e:
                         key = (yl + (bl,), ye + (be,), q if bl else n - q, det or bl * j, where)
-                        step[key] = step.get(key, 0) + w * p_l * p_e
+                        step[key] = step.get(key, 0) + w * w_l * w_e
         frontier = step
-    law: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
+    law: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for (yl, ye, *_), w in frontier.items():
         law[(yl, ye)] = law.get((yl, ye), 0) + w
-    return law
+    return law, denominator
 
 
 @dataclass
@@ -107,6 +124,7 @@ class EnumerationResult:
     mixed_mass_10: Fraction
     mixed_mass_01: Fraction
     _eav_cells: list[dict] = field(repr=False, default_factory=list)
+    _denominator: int = field(repr=False, default=1)
 
     @property
     def main_rate(self) -> float:
@@ -117,19 +135,23 @@ class EnumerationResult:
         return sum(self.leakage_steps) / self.L
 
     def prefix_mass(self, j: int, prefix: tuple[int, ...]) -> Fraction:
-        return self._eav_cells[j - 1].get(pack_bits(prefix), [Fraction(0)])[0]
+        mass = self._eav_cells[j - 1].get(pack_bits(prefix), (0,))[0]
+        return Fraction(mass, self._denominator)
 
     def prefix_flip(self, j: int, prefix: tuple[int, ...]) -> Fraction | None:
         cell = self._eav_cells[j - 1].get(pack_bits(prefix))
         if cell is None:
             return None
-        return cell[1] / cell[0]
+        return Fraction(cell[1], cell[0])
 
 
 def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
     """Exact joint feedback law for one instance, with its derived rates.
 
-    The law is that of the floored schedule ``c_int``, as simulated.
+    The law is that of the floored schedule ``c_int``, as simulated.  The
+    statistics run on the chain's integer weights over their common
+    denominator; ``int / int`` rounds correctly, as ``float(Fraction)`` does,
+    and only the returned masses become ``Fraction``.
 
     Raises
     ------
@@ -139,36 +161,36 @@ def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
     if K > MAX_K or L > MAX_L:
         raise GuardRailError(f"exact law limited to K <= {MAX_K}, L <= {MAX_L}; got K={K}, L={L}")
     sched = compute_schedule(K, B, L)
-    law = _lumped_law(K, sched.c_int, L)
+    weights, denominator = _lumped_law(K, sched.c_int, L)
 
-    total = sum(law.values(), Fraction(0))
-    packed = {(pack_bits(yl), pack_bits(ye)): p for (yl, ye), p in law.items()}
+    packed = {(pack_bits(yl), pack_bits(ye)): w for (yl, ye), w in weights.items()}
     eav_cells = prefix_cells(packed, 1, L)
 
-    mixed_10 = Fraction(0)
-    mixed_01 = Fraction(0)
-    for (yl, ye), p in law.items():
+    mixed_10 = 0
+    mixed_01 = 0
+    for (yl, ye), w in weights.items():
         for j in range(1, L + 1):
             if not ye[j - 1]:
                 continue
             hist = list(zip(yl[: j - 1], ye[: j - 1]))
             if (1, 0) in hist:
-                mixed_10 += p
+                mixed_10 += w
             if (0, 1) in hist:
-                mixed_01 += p
+                mixed_01 += w
 
     return EnumerationResult(
         K=K,
         B=float(B),
         L=L,
         schedule=sched,
-        law=law,
-        total_mass=total,
-        main_steps=step_entropies(prefix_cells(packed, 0, L), total),
-        leakage_steps=step_entropies(eav_cells, total),
-        mixed_mass_10=mixed_10,
-        mixed_mass_01=mixed_01,
+        law={pattern: Fraction(w, denominator) for pattern, w in weights.items()},
+        total_mass=Fraction(sum(weights.values()), denominator),
+        main_steps=step_entropies(prefix_cells(packed, 0, L), denominator),
+        leakage_steps=step_entropies(eav_cells, denominator),
+        mixed_mass_10=Fraction(mixed_10, denominator),
+        mixed_mass_01=Fraction(mixed_01, denominator),
         _eav_cells=eav_cells,
+        _denominator=denominator,
     )
 
 
@@ -300,10 +322,12 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
     sched = enum.schedule
     rows: list[ReportRow] = []
 
-    for j, closed in enumerate(main_step_entropies(K, B, L), start=1):
+    closed_steps = main_step_entropies(K, B, L)
+    for j, closed in enumerate(closed_steps, start=1):
         rows.append(ReportRow(f"main_step_entropy_j{j}", closed, enum.main_steps[j - 1]))
     if L >= 2:
-        rows.append(ReportRow("outer_bound", outer_bound(K, B, L), enum.main_rate))
+        # bounds.outer_bound(K, B, L), without computing the steps again
+        rows.append(ReportRow("outer_bound", sum(closed_steps) / L, enum.main_rate))
 
     # The T3 variants differ only on the deep prefixes 0^k 1^(j-1-k), k >= 1,
     # post-detection entries that first occur at j = 4.

@@ -1,12 +1,13 @@
 """Exact-law oracle tests.
 
-The oracle re-implements the probing policy as a lumped Markov chain with
-Fraction arithmetic, so its numbers are exact.  The ground truth here is a
+The oracle re-implements the probing policy as a lumped Markov chain on
+integer weights over one common denominator, so its numbers are exact.  The ground truth here is a
 brute-force walk over every probe subset of the policy for fixed receiver
 states; the tests check the chain against it on every enumerable case, then
 freeze the exact numbers and the closed-form comparisons built on them.
 """
 
+import hashlib
 import itertools
 import math
 from collections import Counter, defaultdict
@@ -15,11 +16,19 @@ from fractions import Fraction
 import pytest
 
 from bbp_secrecy.estimators import TranscriptStats, _plug_in_rate, collect_stats
-from bbp_secrecy.model import ModelConfig, binary_entropy, compute_schedule, pack_bits
+from bbp_secrecy.model import (
+    ModelConfig,
+    binary_entropy,
+    compute_schedule,
+    pack_bits,
+    prefix_cells,
+    step_entropies,
+)
 from bbp_secrecy.oracle import (
     MAX_K,
     MAX_L,
     GuardRailError,
+    _lumped_law,
     exact_enumeration,
     verify_against_closed_forms,
 )
@@ -82,6 +91,42 @@ def test_lumped_law_equals_probe_path_walk(K, B, L):
     enum = exact_enumeration(K, B, L)
     assert enum.law == _walked_mixture(K, B, L)
     assert enum.total_mass == 1
+
+
+@pytest.mark.parametrize(
+    "K,B,L,support,main,leak",
+    [
+        (32, 8, 5, 136, 0.9, 0.5532697915766688),
+        (256, 16, 12, 1424, 0.4895833333333333, 0.24532109035614902),
+    ],
+)
+def test_integer_chain_runs_past_the_guard_rails(K, B, L, support, main, leak):
+    # The values the C6 Monte Carlo estimates (0.9001 +- 0.0001 and
+    # 0.5530 +- 0.0004 at the acceptance point).
+    weights, denominator = _lumped_law(K, compute_schedule(K, B, L).c_int, L)
+    assert len(weights) == support
+    assert sum(weights.values()) == denominator
+    packed = {(pack_bits(yl), pack_bits(ye)): w for (yl, ye), w in weights.items()}
+    rates = [sum(step_entropies(prefix_cells(packed, s, L), denominator)) / L for s in (0, 1)]
+    if (K, B, L) == (32, 8, 5):
+        assert rates[0] == 0.9
+    assert rates == pytest.approx([main, leak], abs=1e-12)
+
+
+def test_verify_reports_are_frozen():
+    # Digest of every rendered report, measured on the Fraction-weighted chain.
+    reports = [verify_against_closed_forms(*case) for case in ENUMERABLE_CASES]
+    text = "".join(report.render() + "\n" for report in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "290939ff289beefe0a3f3b4ac4d64ceb068b06b81b78def56905fb63b2e25c5e"
+    )
+    assert sum(report.ok for report in reports) == 53
+    # The exact outputs stay Fraction, the prefix 01 never seen included.
+    enum = exact_enumeration(2, 1, 3)
+    exact = [*enum.law.values(), enum.total_mass, enum.mixed_mass_10, enum.mixed_mass_01]
+    exact += [enum.prefix_mass(3, (1, 1)), enum.prefix_flip(3, (1, 1)), enum.prefix_mass(3, (0, 1))]
+    assert all(isinstance(value, Fraction) for value in exact)
+    assert enum.prefix_mass(3, (0, 1)) == 0 and enum.prefix_flip(3, (0, 1)) is None
 
 
 def test_guard_rails_refuse_large_cases_only():
