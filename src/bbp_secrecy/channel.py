@@ -14,10 +14,11 @@ State: the transmitter carries the set the last probe was drawn from as an
 ascending list of beam labels (the pool), plus that probe's labels.  On an
 exploration step or a post-detection miss the next pool is the old one with
 the probed labels deleted by bisection; on a hit it is the sorted probe.
-Each probe is ``rng.sample(pool, q)``.  The pool always equals the ascending
-member list of its set (what ``BeamSet.members()`` returns), so the draws,
-and with them every transcript, depend only on the set and the generator;
-no step walks all K bits of a mask to list members.
+Draws replay ``randrange(1, K + 1)`` per state and ``sample(pool, q)`` per
+probe on the generator's ``getrandbits`` words, as CPython 3.10-3.13 takes
+them.  The pool always equals the ascending member list of its set, so the
+draws, and with them every transcript, depend only on the set and the
+generator; no step walks all K bits of a mask to list members.
 
 Determinism: block i seeds its generator with word i of the SeedSequence
 stream of ``seed`` (``block_seeds``), so results do not depend on how
@@ -49,14 +50,6 @@ class BeamSet(NamedTuple):
         for b in beams:
             mask |= 1 << (b - 1)
         return cls(mask, K, mask.bit_count())
-
-    @classmethod
-    def full(cls, K: int) -> "BeamSet":
-        return cls((1 << K) - 1, K, K)
-
-    @classmethod
-    def empty(cls, K: int) -> "BeamSet":
-        return cls(0, K, 0)
 
     def contains(self, beam: int) -> bool:
         return bool((self.mask >> (beam - 1)) & 1)
@@ -158,10 +151,16 @@ def block_seeds(seed: int, start: int, stop: int) -> Iterator[int]:
 def draw_states(K: int, rng: random.Random) -> tuple[int, int]:
     """Draw (s_l, s_e) independently and uniformly from [1..K].
 
-    The legitimate state is drawn first; callers relying on replay must not
-    reorder the two draws.
+    Each draw replays ``rng.randrange(1, K + 1)``.  The legitimate state is
+    drawn first; callers relying on replay must not reorder the two draws.
     """
-    return rng.randrange(1, K + 1), rng.randrange(1, K + 1)
+    k = K.bit_length()
+    s_l = s_e = K
+    while s_l >= K:
+        s_l = rng.getrandbits(k)
+    while s_e >= K:
+        s_e = rng.getrandbits(k)
+    return 1 + s_l, 1 + s_e
 
 
 def channel_output(x: BeamSet, s: int) -> int:
@@ -177,6 +176,39 @@ def _without(pool: list[int], probed: list[int]) -> list[int]:
     return rest
 
 
+def _sample(getrandbits, pool: list[int], q: int) -> tuple[list[int], int]:
+    """Replay ``Random.sample(pool, q)`` on ``getrandbits``; also return the mask.
+
+    CPython 3.10-3.13's two branches and set-size rule, with each index drawn
+    by ``getrandbits`` rejection below its range, as ``_randbelow`` does.
+    """
+    n = len(pool)
+    picked = []
+    mask = 0
+    setsize = 21 + (4 ** math.ceil(math.log(q * 3, 4)) if q > 5 else 0)
+    if n <= setsize:
+        rest = pool[:]
+        for m in range(n, n - q, -1):
+            k = m.bit_length()
+            i = getrandbits(k)
+            while i >= m:
+                i = getrandbits(k)
+            picked.append(rest[i])
+            rest[i] = rest[m - 1]
+    else:
+        k = n.bit_length()
+        selected = set()
+        for _ in range(q):
+            i = getrandbits(k)
+            while i >= n or i in selected:
+                i = getrandbits(k)
+            selected.add(i)
+            picked.append(pool[i])
+    for b in picked:
+        mask |= 1 << (b - 1)
+    return picked, mask
+
+
 def jcas_step(
     state: PolicyState, y_prev: int, schedule: ExplorationSchedule, rng: random.Random
 ) -> tuple[BeamSet, PolicyState]:
@@ -189,31 +221,27 @@ def jcas_step(
     -------
     (probe, next_state)
     """
-    j = state.step
-    det = state.detection_time
+    pool, probed, det, j, clamp = state
 
     if j == 1:
-        pool = state.pool
         q = schedule.c_int[0]
     elif det is None and y_prev == 0:
         # Still exploring: drop the beams probed last step, take fresh ones.
-        pool = _without(state.pool, state.probed)
+        pool = _without(pool, probed)
         q = schedule.c_int[j - 1]
     else:
         # Detected at det (possibly just now): narrow to the probed half on a
         # hit, to the unprobed rest on a miss, and probe half of what is left.
         if det is None:
             det = j - 1
-        pool = sorted(state.probed) if y_prev else _without(state.pool, state.probed)
+        pool = sorted(probed) if y_prev else _without(pool, probed)
         q = max(schedule.c_int[det - 1] >> (j - det), 1)
 
-    clamp = state.clamp_count
     if q > len(pool):
         q = len(pool)
         clamp += 1
-    picked = rng.sample(pool, q)
-    probe = BeamSet.from_beams(picked, schedule.K)
-    return probe, PolicyState(pool, picked, det, j + 1, clamp)
+    picked, mask = _sample(rng.getrandbits, pool, q)
+    return BeamSet(mask, schedule.K, q), PolicyState(pool, picked, det, j + 1, clamp)
 
 
 def simulate_block(

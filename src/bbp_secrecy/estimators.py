@@ -14,7 +14,7 @@ split into min(``GROUPS``, blocks) contiguous groups, the plug-in rate is
 recomputed per non-empty group, and the standard error is the standard
 deviation of those group rates divided by the square root of their number.
 
-Parallelism: blocks are sharded into contiguous ranges; each block draws
+Parallelism: blocks are sharded into contiguous ranges; each block seeds
 its generator from (seed, block index), so the merged counts are identical
 for any worker count.
 """
@@ -107,9 +107,11 @@ def _collect_range(
     budget_violations = 0
     clamps = 0
     dump = open(dump_path, "w", encoding="utf-8") if dump_path else None
+    rng = random.Random()  # seed(word) resets it all: the stream of Random(word)
     try:
         for i, word in enumerate(block_seeds(config.seed, start, stop), start):
-            t = simulate_block(config, schedule, random.Random(word))
+            rng.seed(word)
+            t = simulate_block(config, schedule, rng)
             key = (pack_bits(t.y_l), pack_bits(t.y_e))
             stats.pattern_counts[key] += 1
             stats.group_counts[i * groups // total][key] += 1

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bbp_secrecy.channel import (
     BeamSet,
     BlockTranscript,
+    _sample,
     block_seeds,
     channel_output,
     draw_states,
@@ -28,8 +29,8 @@ def test_beamset_roundtrip():
     assert s.members() == [1, 5, 8]
     assert s.contains(5) and not s.contains(2)
     assert s.hex() == "0x91"
-    assert BeamSet.full(4).members() == [1, 2, 3, 4]
-    assert BeamSet.empty(4).card == 0
+    assert BeamSet.from_beams(range(1, 5), 4).members() == [1, 2, 3, 4]
+    assert BeamSet.from_beams([], 4).card == 0
 
 
 @given(st.integers(2, 32).flatmap(lambda K: st.tuples(st.just(K), st.sets(st.integers(1, K)))))
@@ -44,7 +45,7 @@ def test_channel_output_is_membership():
     x = BeamSet.from_beams([2, 3], 4)
     assert channel_output(x, 2) == 1
     assert channel_output(x, 1) == 0
-    assert channel_output(BeamSet.empty(4), 1) == 0
+    assert channel_output(BeamSet.from_beams([], 4), 1) == 0
 
 
 def test_draw_states_deterministic_and_uniform():
@@ -60,6 +61,31 @@ def test_draw_states_deterministic_and_uniform():
     rng2 = random.Random(1234)
     again = Counter(draw_states(2, rng2) for _ in range(100_000))
     assert again == pairs
+
+
+SAMPLE_SIZES = [*range(1, 130), 255, 256, 257, 1000, 4096]
+
+
+@pytest.mark.parametrize("n", SAMPLE_SIZES)
+def test_sample_replays_random_sample(n):
+    # Both branches of random.sample (pool swap when n <= setsize, redraw
+    # into a set otherwise) and the q > 5 setsize edge, on two label sets.
+    for q in sorted({0, 1, 2, 5, 6, 7, 8, 16, 17, 31, 64, n // 2, n}):
+        if q > n:
+            continue
+        for seed, pool in ((q, list(range(1, n + 1))), (n + 7, list(range(3, 3 * n + 3, 3)))):
+            mine, ref = random.Random(seed), random.Random(seed)
+            picked, mask = _sample(mine.getrandbits, pool, q)
+            assert picked == ref.sample(pool, q)
+            assert mask == BeamSet.from_beams(picked, pool[-1]).mask
+            assert mine.getstate() == ref.getstate()
+
+
+def test_draw_states_replays_randrange():
+    for K in [*SAMPLE_SIZES, 2**20]:
+        mine, ref = random.Random(K), random.Random(K)
+        assert draw_states(K, mine) == (ref.randrange(1, K + 1), ref.randrange(1, K + 1))
+        assert mine.getstate() == ref.getstate()
 
 
 def test_first_probe_uses_first_schedule_entry():

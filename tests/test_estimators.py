@@ -1,9 +1,11 @@
 import math
 import os
+import random
 from collections import Counter
 
 import pytest
 
+from bbp_secrecy import channel, estimators
 from bbp_secrecy.bounds import leakage_rate, prefix_probability_table
 from bbp_secrecy.estimators import (
     GROUPS,
@@ -13,7 +15,8 @@ from bbp_secrecy.estimators import (
     resolve_workers,
     unseen_table_prefixes,
 )
-from bbp_secrecy.model import ModelConfig, binary_entropy
+from bbp_secrecy.channel import block_seeds, simulate_block
+from bbp_secrecy.model import ModelConfig, binary_entropy, compute_schedule, pack_bits
 
 H4 = binary_entropy(0.25)
 
@@ -37,6 +40,33 @@ def test_worker_count_does_not_change_counts(monkeypatch):
     assert one.blocks == three.blocks == 3000
     assert one.cost_violations == three.cost_violations
     assert one.clamped_probes == three.clamped_probes
+
+
+def test_collection_goes_through_the_traced_calls(monkeypatch):
+    # The benchmark's tracer wraps these two module attributes and divides
+    # by their call counts, so a block must call each through its module.
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(estimators, "simulate_block", counting("block", simulate_block))
+    monkeypatch.setattr(channel, "jcas_step", counting("step", channel.jcas_step))
+    cfg = ModelConfig(K=32, L=5, B=8, seed=11, blocks=40)
+    stats = collect_stats(cfg, workers=1)
+    assert calls == {"block": 40, "step": 200}
+
+    # Reseeding one generator per block gives a fresh generator's stream.
+    sched = compute_schedule(32, 8, 5)
+    fresh = Counter()
+    for word in block_seeds(cfg.seed, 0, cfg.blocks):
+        t = simulate_block(cfg, sched, random.Random(word))
+        fresh[pack_bits(t.y_l), pack_bits(t.y_e)] += 1
+    assert stats.pattern_counts == fresh
 
 
 def test_worker_request_is_capped_by_cpus_and_blocks(monkeypatch):
