@@ -3,10 +3,7 @@
 from .bounds import (
     BoundPoint,
     bound_point,
-    inner_bound,
     leakage_rate,
-    main_entropy_rate,
-    outer_bound,
     prefix_probability_table,
 )
 from .channel import BeamSet, BlockTranscript, PolicyState, jcas_step, simulate_block
@@ -43,11 +40,8 @@ __all__ = [
     "compute_schedule",
     "estimate_rates",
     "exact_enumeration",
-    "inner_bound",
     "jcas_step",
     "leakage_rate",
-    "main_entropy_rate",
-    "outer_bound",
     "prefix_probability_table",
     "simulate_block",
     "verify_against_closed_forms",

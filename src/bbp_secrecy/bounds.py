@@ -19,6 +19,11 @@ that drops the leading 1/K (i.e. sums the per-state prefix mass over the K
 equiprobable eavesdropper states); ``verify_against_closed_forms`` uses the
 exact-law oracle to decide which variant reproduces the transcript
 law.  The default everywhere is the expression as written above.
+
+The closed forms are functions of the schedule c_1..c_L alone: they take an
+``ExplorationSchedule`` and read K and L from it, so a caller that holds a
+schedule never builds it again.  ``bound_point(K, B, L)`` is the entry point
+for a plain (K, B, L) query.
 """
 
 from __future__ import annotations
@@ -76,8 +81,9 @@ def _share(c: float, rem: float) -> float:
     return c / rem if rem else 0.0
 
 
-def _deep_mass(K: int, sched: ExplorationSchedule, j: int, k: int, t3_variant: str) -> float:
+def _deep_mass(sched: ExplorationSchedule, j: int, k: int, t3_variant: str) -> float:
     """Closed-form mass of the prefix 0^k 1^(j-1-k) with j - 1 - k >= 2."""
+    K = sched.K
     base = (sched.c[k] ** 2 / K**2) * 0.5 ** (2 * (j - k - 2) - 1)
     if t3_variant == "as_printed":
         return base / K
@@ -85,7 +91,7 @@ def _deep_mass(K: int, sched: ExplorationSchedule, j: int, k: int, t3_variant: s
 
 
 def prefix_probability_table(
-    K: int, B: float, L: int, t3_variant: str = "as_printed"
+    sched: ExplorationSchedule, t3_variant: str = "as_printed"
 ) -> dict[tuple[int, int], PrefixEntry]:
     """Tabulate closed-form prefix masses and flip probabilities, keyed by (j, k).
 
@@ -95,7 +101,7 @@ def prefix_probability_table(
     """
     if t3_variant not in T3_VARIANTS:
         raise ValueError(f"unknown t3_variant {t3_variant!r}")
-    sched = compute_schedule(K, B, L)
+    K, L = sched.K, sched.L
     entries: dict[tuple[int, int], PrefixEntry] = {}
     for j in range(1, L + 1):
         for k in range(j - 1, -1, -1):
@@ -110,47 +116,34 @@ def prefix_probability_table(
                 flip = 0.5 * _share(sched.c[j - 2], rem)
                 kind = "just_hit"
             else:
-                mass = _deep_mass(K, sched, j, k, t3_variant)
+                mass = _deep_mass(sched, j, k, t3_variant)
                 flip = 0.5
                 kind = "post_detection"
             entries[(j, k)] = PrefixEntry(j=j, k=k, prefix=prefix, mass=mass, flip=flip, kind=kind)
     return entries
 
 
-def main_step_entropies(K: int, B: float, L: int) -> list[float]:
+def main_step_entropies(sched: ExplorationSchedule) -> list[float]:
     """Closed-form per-step entropy of the legitimate feedback bit.
 
     Step j contributes (1 - cum_{j-1}/K) * H(c_j / (K - cum_{j-1})) from
     blocks still exploring plus cum_{j-1}/K from blocks that have already
     localized the beam (one full bit per use there).
     """
-    sched = compute_schedule(K, B, L)
+    K = sched.K
     out = []
-    for j in range(1, L + 1):
+    for j in range(1, sched.L + 1):
         cumr = sched.cum_before(j)
         rem = K - cumr
         out.append((rem / K) * binary_entropy(_share(sched.c[j - 1], rem)) + cumr / K)
     return out
 
 
-def main_entropy_rate(K: int, B: float, L: int) -> float:
-    """Average of ``main_step_entropies`` (bits/channel use)."""
-    return sum(main_step_entropies(K, B, L)) / L
-
-
-def outer_bound(K: int, B: float, L: int) -> float:
-    """Per-use outer bound on the secrecy rate (bits/channel use)."""
-    if L == 1:
-        # A single use leaves no room for a secret message: the bound is 0.
-        return 0.0
-    return main_entropy_rate(K, B, L)
-
-
-def leakage_rate(K: int, B: float, L: int, t3_variant: str = "as_printed") -> float:
+def leakage_rate(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> float:
     """Per-use equivocation loss to the eavesdropper (bits/channel use)."""
     if t3_variant not in T3_VARIANTS:
         raise ValueError(f"unknown t3_variant {t3_variant!r}")
-    sched = compute_schedule(K, B, L)
+    K, L = sched.K, sched.L
     total = 0.0
     for j in range(1, L + 1):
         rem = K - sched.cum_before(j)
@@ -162,18 +155,15 @@ def leakage_rate(K: int, B: float, L: int, t3_variant: str = "as_printed") -> fl
             )
         for k in range(1, j - 2):
             # H(1/2) = 1, so deep prefixes contribute their mass directly.
-            total += _deep_mass(K, sched, j, k, t3_variant)
+            total += _deep_mass(sched, j, k, t3_variant)
     return total / L
 
 
-def inner_bound(K: int, B: float, L: int) -> float:
-    """Achievable secrecy rate: outer bound minus leakage, floored at 0."""
-    return max(0.0, outer_bound(K, B, L) - leakage_rate(K, B, L))
-
-
 def bound_point(K: int, B: float, L: int) -> BoundPoint:
-    """Bundle outer, leakage and inner bounds for one instance."""
-    outer = outer_bound(K, B, L)
-    leak = leakage_rate(K, B, L)
+    """Outer, leakage and inner bounds for one instance, from one schedule."""
+    sched = compute_schedule(K, B, L)
+    # A single use leaves no room for a secret message: the outer bound is 0.
+    outer = sum(main_step_entropies(sched)) / L if L > 1 else 0.0
+    leak = leakage_rate(sched)
     raw = outer - leak
     return BoundPoint(K=K, L=L, B=float(B), outer=outer, leakage=leak, inner_raw=raw, inner=max(0.0, raw))

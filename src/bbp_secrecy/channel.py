@@ -163,11 +163,6 @@ def draw_states(K: int, rng: random.Random) -> tuple[int, int]:
     return 1 + s_l, 1 + s_e
 
 
-def channel_output(x: BeamSet, s: int) -> int:
-    """Deterministic channel: 1 iff the probed set covers beam ``s``."""
-    return 1 if x.contains(s) else 0
-
-
 def _without(pool: list[int], probed: list[int]) -> list[int]:
     """Ascending ``pool`` minus ``probed`` (a subset of it), as a new list."""
     rest = pool[:]

@@ -21,7 +21,7 @@ import argparse
 import math
 import sys
 
-from .bounds import bound_point, leakage_rate, main_entropy_rate
+from .bounds import bound_point, leakage_rate, main_step_entropies
 from .estimators import estimate_rates, unseen_table_prefixes
 from .model import ModelConfig, compute_schedule
 from .oracle import GuardRailError, verify_against_closed_forms
@@ -139,8 +139,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     main_est, leak_est, stats = estimate_rates(
         config, sched, dump_path=args.dump_transcripts
     )
-    closed_main = main_entropy_rate(args.K, args.B, args.L)
-    closed_leak = leakage_rate(args.K, args.B, args.L)
+    closed_main = sum(main_step_entropies(sched)) / args.L
+    closed_leak = leakage_rate(sched)
 
     def z(est, closed):
         if est.stderr == 0.0:

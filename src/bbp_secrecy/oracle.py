@@ -166,17 +166,19 @@ def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
     packed = {(pack_bits(yl), pack_bits(ye)): w for (yl, ye), w in weights.items()}
     eav_cells = prefix_cells(packed, 1, L)
 
+    # Weight of eavesdropper hits at a step j after an earlier step with
+    # (y_l, y_e) = (1, 0), resp. (0, 1): bits of yl & ~ye, resp. ye & ~yl,
+    # below bit j.
     mixed_10 = 0
     mixed_01 = 0
-    for (yl, ye), w in weights.items():
-        for j in range(1, L + 1):
-            if not ye[j - 1]:
-                continue
-            hist = list(zip(yl[: j - 1], ye[: j - 1]))
-            if (1, 0) in hist:
-                mixed_10 += w
-            if (0, 1) in hist:
-                mixed_01 += w
+    for (yl, ye), w in packed.items():
+        for j in range(L):
+            if ye >> j & 1:
+                below = (1 << j) - 1
+                if yl & ~ye & below:
+                    mixed_10 += w
+                if ye & ~yl & below:
+                    mixed_01 += w
 
     return EnumerationResult(
         K=K,
@@ -322,18 +324,18 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
     sched = enum.schedule
     rows: list[ReportRow] = []
 
-    closed_steps = main_step_entropies(K, B, L)
+    closed_steps = main_step_entropies(sched)
     for j, closed in enumerate(closed_steps, start=1):
         rows.append(ReportRow(f"main_step_entropy_j{j}", closed, enum.main_steps[j - 1]))
     if L >= 2:
-        # bounds.outer_bound(K, B, L), without computing the steps again
+        # bound_point(K, B, L).outer, without computing the steps again
         rows.append(ReportRow("outer_bound", sum(closed_steps) / L, enum.main_rate))
 
     # The T3 variants differ only on the deep prefixes 0^k 1^(j-1-k), k >= 1,
     # post-detection entries that first occur at j = 4.
     t3 = T3Adjudication(applicable=L >= 4)
     tables = {
-        v: prefix_probability_table(K, B, L, t3_variant=v)
+        v: prefix_probability_table(sched, t3_variant=v)
         for v in (T3_VARIANTS if t3.applicable else T3_VARIANTS[:1])
     }
     deep_closed = dict.fromkeys(tables, 0.0)
@@ -357,7 +359,7 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
 
     for variant in tables:  # the variants coincide for L <= 3; one row is enough
         name = f"leakage_rate[t3={variant}]" if t3.applicable else "leakage_rate"
-        leak = leakage_rate(K, B, L, t3_variant=variant)
+        leak = leakage_rate(sched, t3_variant=variant)
         rows.append(ReportRow(name, leak, enum.leakage, informational=t3.applicable))
 
     if t3.applicable:

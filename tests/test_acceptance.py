@@ -13,13 +13,7 @@ import time
 import pytest
 
 from bbp_secrecy import cli
-from bbp_secrecy.bounds import (
-    bound_point,
-    inner_bound,
-    leakage_rate,
-    outer_bound,
-    prefix_probability_table,
-)
+from bbp_secrecy.bounds import bound_point, leakage_rate, prefix_probability_table
 from bbp_secrecy.channel import block_seeds, simulate_block
 from bbp_secrecy.estimators import estimate_rates
 from bbp_secrecy.model import ModelConfig, compute_schedule
@@ -40,7 +34,7 @@ def _report(label: str, ok: bool, detail: str = "") -> None:
 def test_c1_single_use_degeneracy():
     t0 = time.perf_counter()
     ok = all(
-        outer_bound(K, B, 1) == 0.0 and inner_bound(K, B, 1) == 0.0
+        bound_point(K, B, 1).outer == 0.0 and bound_point(K, B, 1).inner == 0.0
         for K in range(2, 65)
         for B in range(1, K + 1)
     )
@@ -53,9 +47,9 @@ def test_c1_single_use_degeneracy():
 
 def test_c2_hand_point():
     t0 = time.perf_counter()
-    outer = outer_bound(32, 8, 2)
-    leak = leakage_rate(32, 8, 2)
-    inner = inner_bound(32, 8, 2)
+    outer = bound_point(32, 8, 2).outer
+    leak = leakage_rate(compute_schedule(32, 8, 2))
+    inner = bound_point(32, 8, 2).inner
     ok = (
         abs(outer - 0.875) <= 1e-12
         and abs(leak - 0.7778139) <= 1e-6
@@ -70,14 +64,14 @@ def test_c2_hand_point():
 
 @pytest.mark.parametrize("L", LS)
 def test_c3_outer_non_decreasing(L):
-    vals = [outer_bound(32, B, L) for B in range(1, 33)]
+    vals = [bound_point(32, B, L).outer for B in range(1, 33)]
     ok = all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     _report(f"C3 outer non-decreasing in B (L={L})", ok)
 
 
 @pytest.mark.parametrize("L", LS)
 def test_c3_inner_non_decreasing(L):
-    vals = [inner_bound(32, B, L) for B in range(1, 33)]
+    vals = [bound_point(32, B, L).inner for B in range(1, 33)]
     bad = [
         (B, a, b) for B, (a, b) in enumerate(zip(vals, vals[1:]), start=1) if b < a - 1e-12
     ]
@@ -90,8 +84,8 @@ def test_c3_inner_non_decreasing(L):
 
 @pytest.mark.parametrize("L", LS)
 def test_c3_outer_saturates(L):
-    ref = outer_bound(32, 16, L)
-    ok = all(abs(outer_bound(32, B, L) - ref) <= 1e-12 for B in range(16, 33))
+    ref = bound_point(32, 16, L).outer
+    ok = all(abs(bound_point(32, B, L).outer - ref) <= 1e-12 for B in range(16, 33))
     _report(f"C3 outer constant for B >= K/2 (L={L})", ok)
 
 
@@ -99,7 +93,7 @@ def test_c3_outer_saturates(L):
 
 
 def test_c4_leakage_decreases_with_block_length():
-    vals = [leakage_rate(32, 8, L) for L in LS]
+    vals = [leakage_rate(compute_schedule(32, 8, L)) for L in LS]
     ok = all(b < a for a, b in zip(vals, vals[1:]))
     _report("C4 leakage strictly decreasing in L", ok)
 
@@ -134,7 +128,7 @@ def test_c5_deep_term_adjudication():
 # --- criterion 6: Monte Carlo vs closed forms at (32, 8, 5) ------------------
 
 MC_CONFIG = ModelConfig(K=32, L=5, B=8, seed=7, blocks=10**6)
-MC_TABLE = prefix_probability_table(32, 8, 5)
+MC_TABLE = prefix_probability_table(compute_schedule(32, 8, 5))
 
 
 @pytest.fixture(scope="module")
@@ -152,14 +146,14 @@ def test_c6_runtime_budget(mc_run):
 
 def test_c6_main_rate_within_three_sigma(mc_run):
     main_est = mc_run[0]
-    closed = outer_bound(32, 8, 5)
+    closed = bound_point(32, 8, 5).outer
     z = (main_est.value - closed) / main_est.stderr
     _report("C6 main rate within 3 sigma", abs(z) <= 3, f"z={z:+.1f}")
 
 
 def test_c6_leakage_within_three_sigma(mc_run):
     leak_est = mc_run[1]
-    closed = leakage_rate(32, 8, 5)
+    closed = leakage_rate(compute_schedule(32, 8, 5))
     z = (leak_est.value - closed) / leak_est.stderr
     _report("C6 leakage within 3 sigma", abs(z) <= 3, f"z={z:+.1f}")
 

@@ -5,11 +5,8 @@ from hypothesis import strategies as st
 from bbp_secrecy.bounds import (
     T3_VARIANTS,
     bound_point,
-    inner_bound,
     leakage_rate,
-    main_entropy_rate,
     main_step_entropies,
-    outer_bound,
     prefix_probability_table,
 )
 from bbp_secrecy.model import binary_entropy, compute_schedule
@@ -23,22 +20,22 @@ LEAKAGE_32_8_5 = 0.478031587318156  # pinned double-precision evaluation
 
 
 def test_outer_bound_hand_points():
-    assert outer_bound(32, 8, 2) == 0.875
-    assert outer_bound(4, 1, 2) == 0.875
-    assert outer_bound(32, 8, 5) == pytest.approx(0.95, abs=1e-12)
+    assert bound_point(32, 8, 2).outer == 0.875
+    assert bound_point(4, 1, 2).outer == 0.875
+    assert bound_point(32, 8, 5).outer == pytest.approx(0.95, abs=1e-12)
 
 
 def test_outer_and_inner_vanish_for_single_use():
     for K in (2, 7, 32, 64):
         for B in (1, max(1, K // 2), K):
-            assert outer_bound(K, B, 1) == 0.0
-            assert inner_bound(K, B, 1) == 0.0
+            assert bound_point(K, B, 1).outer == 0.0
+            assert bound_point(K, B, 1).inner == 0.0
 
 
 def test_leakage_hand_points():
-    assert leakage_rate(32, 8, 2) == pytest.approx(LEAKAGE_32_8_2, abs=1e-12)
-    assert leakage_rate(32, 8, 1) == pytest.approx(H4, abs=1e-15)
-    assert leakage_rate(32, 8, 5) == pytest.approx(LEAKAGE_32_8_5, abs=1e-12)
+    assert leakage_rate(compute_schedule(32, 8, 2)) == pytest.approx(LEAKAGE_32_8_2, abs=1e-12)
+    assert leakage_rate(compute_schedule(32, 8, 1)) == pytest.approx(H4, abs=1e-15)
+    assert leakage_rate(compute_schedule(32, 8, 5)) == pytest.approx(LEAKAGE_32_8_5, abs=1e-12)
 
 
 def test_inner_is_outer_minus_leakage():
@@ -52,21 +49,22 @@ def test_inner_floors_at_zero():
     pt = bound_point(32, 8, 1)
     assert pt.inner_raw < 0.0
     assert pt.inner == 0.0
-    assert inner_bound(32, 8, 1) == 0.0
+    assert bound_point(32, 8, 1).inner == 0.0
 
 
 def test_main_step_entropies_saturate_after_localization():
-    steps = main_step_entropies(32, 8, 5)
+    steps = main_step_entropies(compute_schedule(32, 8, 5))
     assert steps[0] == pytest.approx(H4, abs=1e-15)
     assert steps[1] == pytest.approx(0.75 * binary_entropy(1 / 3) + 0.25, abs=1e-15)
     assert steps[2:] == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
-    assert main_entropy_rate(32, 8, 5) == pytest.approx(0.95, abs=1e-12)
-    assert main_entropy_rate(4, 1, 1) == pytest.approx(H4, abs=1e-15)
+    assert sum(steps) / len(steps) == pytest.approx(0.95, abs=1e-12)
+    single = main_step_entropies(compute_schedule(4, 1, 1))
+    assert sum(single) / len(single) == pytest.approx(H4, abs=1e-15)
 
 
 @pytest.mark.parametrize("L", [2, 5, 8, 12])
 def test_outer_non_decreasing_in_budget(L):
-    values = [outer_bound(32, B, L) for B in range(1, 33)]
+    values = [bound_point(32, B, L).outer for B in range(1, 33)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -87,13 +85,13 @@ def test_inner_dips_in_budget_for_two_use_blocks():
 
 @pytest.mark.parametrize("L", [2, 5, 8, 12])
 def test_outer_saturates_beyond_half_k(L):
-    ref = outer_bound(32, 16, L)
+    ref = bound_point(32, 16, L).outer
     for B in range(17, 33):
-        assert outer_bound(32, B, L) == ref
+        assert bound_point(32, B, L).outer == ref
 
 
 def test_leakage_strictly_decreasing_in_block_length():
-    values = [leakage_rate(32, 8, L) for L in (2, 5, 8, 12)]
+    values = [leakage_rate(compute_schedule(32, 8, L)) for L in (2, 5, 8, 12)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -115,7 +113,9 @@ def test_scale_invariance_exact_pair():
 )
 def test_outer_scale_invariant(K, B, L, m):
     B = min(B, K)
-    assert outer_bound(K, B, L) == pytest.approx(outer_bound(m * K, m * B, L), abs=1e-12)
+    assert bound_point(K, B, L).outer == pytest.approx(
+        bound_point(m * K, m * B, L).outer, abs=1e-12
+    )
 
 
 @given(
@@ -126,7 +126,9 @@ def test_outer_scale_invariant(K, B, L, m):
 )
 def test_leakage_scale_invariant_without_deep_terms(K, B, L, m):
     B = min(B, K)
-    assert leakage_rate(K, B, L) == pytest.approx(leakage_rate(m * K, m * B, L), abs=1e-12)
+    assert leakage_rate(compute_schedule(K, B, L)) == pytest.approx(
+        leakage_rate(compute_schedule(m * K, m * B, L)), abs=1e-12
+    )
 
 
 @given(
@@ -137,17 +139,18 @@ def test_leakage_scale_invariant_without_deep_terms(K, B, L, m):
 )
 def test_state_summed_leakage_scale_invariant(K, B, L, m):
     B = min(B, K)
-    a = leakage_rate(K, B, L, t3_variant="state_summed")
-    b = leakage_rate(m * K, m * B, L, t3_variant="state_summed")
+    a = leakage_rate(compute_schedule(K, B, L), t3_variant="state_summed")
+    b = leakage_rate(compute_schedule(m * K, m * B, L), t3_variant="state_summed")
     assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_printed_deep_coefficient_breaks_scale_invariance():
     # The bare 1/K in the printed deep-prefix coefficient is the one term
     # that is not a pure ratio, so doubling (K, B) shifts the leakage.
-    assert abs(leakage_rate(2, 1, 4) - leakage_rate(4, 2, 4)) > 1e-4
-    a = leakage_rate(2, 1, 4, t3_variant="state_summed")
-    b = leakage_rate(4, 2, 4, t3_variant="state_summed")
+    small, large = compute_schedule(2, 1, 4), compute_schedule(4, 2, 4)
+    assert abs(leakage_rate(small) - leakage_rate(large)) > 1e-4
+    a = leakage_rate(small, t3_variant="state_summed")
+    b = leakage_rate(large, t3_variant="state_summed")
     assert a == b
 
 
@@ -167,8 +170,8 @@ def test_bounds_defined_once_schedule_uses_up_all_beams(K, B, L):
     assert sched.cum[-2] == K and sched.c[-1] == 0.0
     pt = bound_point(K, B, L)
     assert 0.0 <= pt.inner <= pt.outer <= 1.0
-    assert main_step_entropies(K, B, L)[-1] == 1.0
-    table = prefix_probability_table(K, B, L)
+    assert main_step_entropies(compute_schedule(K, B, L))[-1] == 1.0
+    table = prefix_probability_table(compute_schedule(K, B, L))
     assert table[(L, L - 2)].mass == 0.0
 
 
@@ -177,19 +180,19 @@ def test_bounds_defined_once_schedule_uses_up_all_beams(K, B, L):
 def test_leakage_matches_table_sum(K, B, L, variant):
     # The leakage sum has a term for every tabulated entry except the deep
     # prefixes with k = 0, which are tabulated for completeness only.
-    table = prefix_probability_table(K, B, L, t3_variant=variant)
+    table = prefix_probability_table(compute_schedule(K, B, L), t3_variant=variant)
     total = sum(
         e.mass * binary_entropy(e.flip)
         for (j, k), e in table.items()
         if not (e.kind == "post_detection" and k == 0)
     )
     assert total / L == pytest.approx(
-        leakage_rate(K, B, L, t3_variant=variant), abs=1e-12
+        leakage_rate(compute_schedule(K, B, L), t3_variant=variant), abs=1e-12
     )
 
 
 def test_table_entries_hand_checked():
-    table = prefix_probability_table(8, 2, 3)
+    table = prefix_probability_table(compute_schedule(8, 2, 3))
     empty = table[(1, 0)]
     assert empty.prefix == "" and empty.mass == 1.0 and empty.flip == 0.25
     just_hit = table[(3, 1)]
@@ -199,12 +202,13 @@ def test_table_entries_hand_checked():
     deep = table[(3, 0)]
     assert deep.prefix == "11" and deep.flip == 0.5
     assert deep.mass == pytest.approx(1 / 256, abs=1e-18)
-    deep_summed = prefix_probability_table(8, 2, 3, t3_variant="state_summed")[(3, 0)]
+    summed = prefix_probability_table(compute_schedule(8, 2, 3), t3_variant="state_summed")
+    deep_summed = summed[(3, 0)]
     assert deep_summed.mass == pytest.approx(1 / 32, abs=1e-18)
 
 
 def test_table_layout_covers_monotone_prefixes():
-    table = prefix_probability_table(32, 8, 5)
+    table = prefix_probability_table(compute_schedule(32, 8, 5))
     for j in range(1, 6):
         prefixes = {e.prefix for (jj, _), e in table.items() if jj == j}
         assert prefixes == {"0" * k + "1" * (j - 1 - k) for k in range(j)}
@@ -214,6 +218,6 @@ def test_table_layout_covers_monotone_prefixes():
 
 def test_unknown_t3_variant_rejected():
     with pytest.raises(ValueError):
-        leakage_rate(8, 2, 4, t3_variant="other")
+        leakage_rate(compute_schedule(8, 2, 4), t3_variant="other")
     with pytest.raises(ValueError):
-        prefix_probability_table(8, 2, 4, t3_variant="other")
+        prefix_probability_table(compute_schedule(8, 2, 4), t3_variant="other")

@@ -13,7 +13,6 @@ from bbp_secrecy.channel import (
     BlockTranscript,
     _sample,
     block_seeds,
-    channel_output,
     draw_states,
     initial_policy_state,
     jcas_step,
@@ -43,9 +42,9 @@ def test_beamset_members_roundtrip(K_and_beams):
 
 def test_channel_output_is_membership():
     x = BeamSet.from_beams([2, 3], 4)
-    assert channel_output(x, 2) == 1
-    assert channel_output(x, 1) == 0
-    assert channel_output(BeamSet.from_beams([], 4), 1) == 0
+    assert int(x.contains(2)) == 1
+    assert int(x.contains(1)) == 0
+    assert int(BeamSet.from_beams([], 4).contains(1)) == 0
 
 
 def test_draw_states_deterministic_and_uniform():
@@ -224,8 +223,8 @@ def test_cost_constraint_holds(K, B, L, seed):
         tr = simulate_block(cfg, sched, random.Random(word))
         assert tr.cost_ok
         assert max(p.card for p in tr.probes) <= B
-        assert tr.y_l == [channel_output(p, tr.s_l) for p in tr.probes]
-        assert tr.y_e == [channel_output(p, tr.s_e) for p in tr.probes]
+        assert tr.y_l == [int(p.contains(tr.s_l)) for p in tr.probes]
+        assert tr.y_e == [int(p.contains(tr.s_e)) for p in tr.probes]
 
 
 def test_fractional_schedule_probes_nothing_on_floored_zero():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import string
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbp_secrecy import bounds, cli
+from bbp_secrecy import bounds, cli, estimators, oracle
 from bbp_secrecy.estimators import MAX_SIMULATED_BEAMS, collect_stats
 from bbp_secrecy.model import MAX_USES, ModelConfig, compute_schedule
 
@@ -66,6 +67,23 @@ def test_sweep_writes_default_grid(tmp_path, capsys):
     assert cli.main(["sweep", "--out", str(out_csv)]) == 0
     capsys.readouterr()
     assert out_csv.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "flags,digest",
+    [
+        ((), "2fbdac454dd75fd1c4de3d54873fe818780c123ebaeb802ba910293855da559b"),
+        (
+            ("--K", "1024", "--L", "2,4,8,16,32", "--B-start", "0.5", "--B-step", "0.5"),
+            "e2c403f10246ced0967fc4b1d4963ead54439f816f30ef74efaa51b8b7695efc",
+        ),
+    ],
+)
+def test_sweep_csv_bytes_frozen(tmp_path, capsys, flags, digest):
+    out_csv = tmp_path / "grid.csv"
+    rc, _, _ = run(capsys, "sweep", *flags, "--out", str(out_csv))
+    assert rc == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
 
 
 def test_sweep_custom_grid(tmp_path, capsys):
@@ -165,6 +183,29 @@ def test_simulate_builds_no_prefix_table(capsys, monkeypatch):
     assert out.splitlines()[3] == (
         "clamped_probes=0 cost_violations=0 unseen_table_prefixes=79799"
     )
+
+
+def test_each_query_builds_one_schedule(capsys, monkeypatch):
+    # Count compute_schedule calls through every module that makes them.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compute_schedule(*args)
+
+    for module in (bounds, oracle, estimators, cli):
+        monkeypatch.setattr(module, "compute_schedule", counted)
+    for K, B, L in [(32, 8, 1), (32, 8, 5), (1024, 64, 32)]:
+        bounds.bound_point(K, B, L)
+        assert calls == [(K, B, L)]
+        calls.clear()
+    for K, B, L in [(8, 2, 1), (8, 2, 3), (8, 2, 4), (7, 3.5, 4)]:
+        oracle.verify_against_closed_forms(K, B, L)
+        assert calls == [(K, B, L)]
+        calls.clear()
+    rc, _, _ = run(capsys, "simulate", "--K", "8", "--B", "2", "--L", "4", "--blocks", "20")
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_simulate_rejects_zero_blocks(capsys):

@@ -112,7 +112,7 @@ def test_two_step_rates_match_closed_forms():
     cfg = ModelConfig(K=32, L=2, B=8, seed=5, blocks=40_000)
     main, leak, _ = estimate_rates(cfg)
     assert abs(main.value - 0.875) < 5 * main.stderr
-    assert abs(leak.value - leakage_rate(32, 8, 2)) < 5 * leak.stderr
+    assert abs(leak.value - leakage_rate(compute_schedule(32, 8, 2))) < 5 * leak.stderr
 
 
 def test_stderr_needs_at_least_two_groups():
@@ -154,7 +154,7 @@ def test_unseen_prefixes_shrink_with_sample_size():
 )
 def test_unseen_prefixes_are_the_unseen_table_keys(K, B, L, blocks):
     stats = collect_stats(ModelConfig(K=K, L=L, B=B, seed=2, blocks=blocks))
-    table = prefix_probability_table(K, B, L)
+    table = prefix_probability_table(compute_schedule(K, B, L))
     # Read each entry's bits from its display string, independently of the
     # arithmetic packing that unseen_table_prefixes uses.
     unseen = [
