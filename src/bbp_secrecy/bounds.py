@@ -37,15 +37,13 @@ T3_VARIANTS = ("as_printed", "state_summed")
 
 @dataclass(frozen=True)
 class BoundPoint:
-    """Closed-form bounds for one (K, B, L) instance.
+    """Closed-form bounds for the (K, B, L) instance ``schedule`` carries.
 
     ``inner_raw`` is outer minus leakage before flooring; ``inner`` is
     clamped to be non-negative.
     """
 
-    K: int
-    L: int
-    B: float
+    schedule: ExplorationSchedule
     outer: float
     leakage: float
     inner_raw: float
@@ -166,4 +164,4 @@ def bound_point(K: int, B: float, L: int) -> BoundPoint:
     outer = sum(main_step_entropies(sched)) / L if L > 1 else 0.0
     leak = leakage_rate(sched)
     raw = outer - leak
-    return BoundPoint(K=K, L=L, B=float(B), outer=outer, leakage=leak, inner_raw=raw, inner=max(0.0, raw))
+    return BoundPoint(schedule=sched, outer=outer, leakage=leak, inner_raw=raw, inner=max(0.0, raw))

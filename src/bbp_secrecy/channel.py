@@ -1,4 +1,5 @@
-"""Block simulator for the adaptive beam-probing policy.
+"""Block simulator for the adaptive beam-probing policy, on the (K, B, L)
+instance an ``ExplorationSchedule`` carries.
 
 Within a block the transmitter explores fresh beams (c_int_j per step) until
 the legitimate receiver's beam is first hit at some step k.  From then on it
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, NamedTuple
 
-from .model import ExplorationSchedule, ModelConfig
+from .model import ExplorationSchedule
 
 
 class BeamSet(NamedTuple):
@@ -240,7 +241,6 @@ def jcas_step(
 
 
 def simulate_block(
-    config: ModelConfig,
     schedule: ExplorationSchedule,
     rng: random.Random,
     s_l: int | None = None,
@@ -248,24 +248,25 @@ def simulate_block(
 ) -> BlockTranscript:
     """Simulate one block and return its full transcript.
 
+    K, the budget B and the block length L are read from ``schedule``.
     ``s_l`` / ``s_e`` override the drawn states (used by replay tests); the
     states are drawn from ``rng`` regardless so that the probe-choice stream
     is unchanged by an override.
     """
-    drawn_l, drawn_e = draw_states(config.K, rng)
+    drawn_l, drawn_e = draw_states(schedule.K, rng)
     s_l = drawn_l if s_l is None else s_l
     s_e = drawn_e if s_e is None else s_e
     shift_l = s_l - 1
     shift_e = s_e - 1
 
-    budget = int(math.floor(config.B))
-    state = initial_policy_state(config.K)
+    budget = int(math.floor(schedule.B))
+    state = initial_policy_state(schedule.K)
     yl = 0  # no feedback before step 1
     probes: list[BeamSet] = []
     y_l: list[int] = []
     y_e: list[int] = []
     cost_ok = True
-    for _ in range(config.L):
+    for _ in range(schedule.L):
         probe, state = jcas_step(state, yl, schedule, rng)
         if probe.card > budget:
             cost_ok = False

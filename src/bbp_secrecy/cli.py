@@ -23,7 +23,7 @@ import sys
 
 from .bounds import bound_point, leakage_rate, main_step_entropies
 from .estimators import estimate_rates, unseen_table_prefixes
-from .model import ModelConfig, compute_schedule
+from .model import ModelConfig, check_instance, compute_schedule
 from .oracle import GuardRailError, verify_against_closed_forms
 
 EXIT_OK = 0
@@ -66,20 +66,13 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _schedule_or_die(K: int, B: float, L: int):
-    # ModelConfig carries the validation rules; reuse them for plain queries.
-    ModelConfig(K=K, L=L, B=B)
-    return compute_schedule(K, B, L)
-
-
 def _fmt_schedule(sched) -> str:
     return "[" + ", ".join(f"{c:g}" for c in sched.c) + "]"
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    sched = _schedule_or_die(args.K, args.B, args.L)
     pt = bound_point(args.K, args.B, args.L)
-    print(f"K={args.K} B={args.B:g} L={args.L} schedule={_fmt_schedule(sched)}")
+    print(f"K={args.K} B={args.B:g} L={args.L} schedule={_fmt_schedule(pt.schedule)}")
     print(f"outer     = {pt.outer:.10g}")
     print(f"leakage   = {pt.leakage:.10g}")
     print(f"inner_raw = {pt.inner_raw:.10g}")
@@ -94,7 +87,7 @@ def _fmt_b(B: float) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     L_values = sorted(set(args.L))
     for L in L_values:
-        ModelConfig(K=args.K, L=L, B=1)  # K and L limits, before any grid is built
+        check_instance(args.K, 1, L)  # K and L limits, before any grid is built
     B_stop = float(args.K) if args.B_stop is None else args.B_stop
     if not all(map(math.isfinite, (args.B_start, B_stop, args.B_step))):
         raise ValueError("B start, stop and step must be finite")
@@ -170,7 +163,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    ModelConfig(K=args.K, L=args.L, B=args.B)
+    check_instance(args.K, args.B, args.L)
     report = verify_against_closed_forms(args.K, args.B, args.L)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_MISMATCH

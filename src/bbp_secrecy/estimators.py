@@ -88,7 +88,6 @@ class RateEstimate:
 
     value: float
     stderr: float
-    blocks: int
 
 
 def _collect_range(
@@ -111,7 +110,7 @@ def _collect_range(
     try:
         for i, word in enumerate(block_seeds(config.seed, start, stop), start):
             rng.seed(word)
-            t = simulate_block(config, schedule, rng)
+            t = simulate_block(schedule, rng)
             key = (pack_bits(t.y_l), pack_bits(t.y_e))
             stats.pattern_counts[key] += 1
             stats.group_counts[i * groups // total][key] += 1
@@ -145,13 +144,17 @@ def collect_stats(
     ``workers`` defaults to the BBP_THREADS environment variable (else 1)
     and is capped by :func:`resolve_workers`.  The result is independent of
     the worker count.  Transcript dumping forces a single worker so the dump
-    order is the block order.  K above ``MAX_SIMULATED_BEAMS`` is refused.
+    order is the block order.  K above ``MAX_SIMULATED_BEAMS`` is refused, and
+    so is a ``schedule`` built for another (K, B, L) than ``config``'s.
     """
     if config.blocks <= 0:
         raise ValueError("config.blocks must be positive for simulation")
     if config.K > MAX_SIMULATED_BEAMS:
         raise ValueError(f"simulation limited to K <= 2**20 = {MAX_SIMULATED_BEAMS}")
-    schedule = schedule or compute_schedule(config.K, config.B, config.L)
+    instance = (config.K, config.B, config.L)
+    schedule = schedule or compute_schedule(*instance)
+    if (schedule.K, schedule.B, schedule.L) != instance:
+        raise ValueError(f"schedule (K, B, L) differs from the config's {instance}")
     if workers is None:
         workers = int(os.environ.get("BBP_THREADS", "1"))
     workers = resolve_workers(workers, config.blocks)
@@ -181,7 +184,7 @@ def _rate_estimate(stats: TranscriptStats, stream: int) -> RateEstimate:
         stderr = statistics.stdev(group_rates) / math.sqrt(len(group_rates))
     else:
         stderr = float("nan")
-    return RateEstimate(value=value, stderr=stderr, blocks=stats.blocks)
+    return RateEstimate(value=value, stderr=stderr)
 
 
 def estimate_rates(

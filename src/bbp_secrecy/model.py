@@ -13,7 +13,8 @@ step while the legitimate beam is still unknown:
     c_j = min((K - sum_{k<j} c_k) / 2, B)
 
 The schedule is real-valued; ``c_int`` floors each entry to the subset size
-actually probed by the simulator.
+actually probed by the simulator.  ``check_instance`` holds the one rule for
+which (K, B, L) are accepted.
 
 A block's feedback is a pair of L-bit patterns (y_l, y_e), each packed into
 an integer.  ``prefix_cells`` and ``step_entropies`` give the per-prefix
@@ -92,9 +93,25 @@ def step_entropies(cells: list[dict[int, list]], total) -> list[float]:
     return out
 
 
+def check_instance(K: int, B: float, L: int) -> None:
+    """Raise ``ValueError`` unless K, L are integers in range and 0 < B <= K."""
+    if not isinstance(K, int) or K < 2:
+        raise ValueError(f"K must be an integer >= 2, got {K!r}")
+    if K > MAX_BEAMS:
+        raise ValueError(f"K must be at most 2**53 = {MAX_BEAMS}")
+    if not isinstance(L, int) or L < 1:
+        raise ValueError(f"L must be an integer >= 1, got {L!r}")
+    if L > MAX_USES:
+        raise ValueError(f"L must be at most {MAX_USES}, got {L}")
+    if not B > 0:
+        raise ValueError(f"B must be positive, got {B!r}")
+    if B > K:
+        raise ValueError(f"B={B!r} exceeds the number of beams K={K}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    """Instance parameters shared by the bound and simulation layers.
+    """One simulation run: the (K, B, L) instance, its seed and block count.
 
     Attributes
     ----------
@@ -103,11 +120,11 @@ class ModelConfig:
     L : int
         Block length (channel uses per block), 1 <= L <= MAX_USES.
     B : float
-        Per-symbol cost budget (maximum number of probed beams), B > 0.
+        Per-symbol cost budget (maximum number of probed beams), 0 < B <= K.
     seed : int
         Base seed for Monte Carlo; per-block generators are derived from it.
     blocks : int
-        Number of simulated blocks for the estimators (0 = bounds only).
+        Number of simulated blocks; the estimators need at least one.
     """
 
     K: int
@@ -117,18 +134,7 @@ class ModelConfig:
     blocks: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.K, int) or self.K < 2:
-            raise ValueError(f"K must be an integer >= 2, got {self.K!r}")
-        if self.K > MAX_BEAMS:
-            raise ValueError(f"K must be at most 2**53 = {MAX_BEAMS}")
-        if not isinstance(self.L, int) or self.L < 1:
-            raise ValueError(f"L must be an integer >= 1, got {self.L!r}")
-        if self.L > MAX_USES:
-            raise ValueError(f"L must be at most {MAX_USES}, got {self.L}")
-        if not self.B > 0:
-            raise ValueError(f"B must be positive, got {self.B!r}")
-        if self.B > self.K:
-            raise ValueError(f"B={self.B!r} exceeds the number of beams K={self.K}")
+        check_instance(self.K, self.B, self.L)
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not isinstance(self.blocks, int) or self.blocks < 0:
@@ -137,10 +143,14 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ExplorationSchedule:
-    """Per-step exploration sizes for one (K, B, L) instance.
+    """Per-step exploration sizes for one (K, B, L) instance, which it carries.
 
     Attributes
     ----------
+    K : int
+        Number of beams.
+    B : float
+        Per-symbol cost budget.
     c : tuple of float
         Real-valued schedule entries c_1..c_L.
     c_int : tuple of int
@@ -177,8 +187,7 @@ def compute_schedule(K: int, B: float, L: int) -> ExplorationSchedule:
     >>> compute_schedule(32, 8, 5).c
     (8.0, 8.0, 8.0, 4.0, 2.0)
     """
-    if not (2 <= K <= MAX_BEAMS and 1 <= L <= MAX_USES and 0 < B <= K):
-        raise ValueError(f"invalid schedule arguments K={K}, B={B}, L={L}")
+    check_instance(K, B, L)
     c: list[float] = []
     cum: list[float] = []
     total = 0.0

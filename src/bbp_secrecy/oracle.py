@@ -111,11 +111,8 @@ def _lumped_law(K: int, c_int: tuple[int, ...], L: int) -> tuple[dict, int]:
 
 @dataclass
 class EnumerationResult:
-    """Exact transcript law plus the derived rate quantities."""
+    """Exact transcript law of the instance ``schedule`` carries, plus its rates."""
 
-    K: int
-    B: float
-    L: int
     schedule: ExplorationSchedule
     law: dict
     total_mass: Fraction
@@ -128,11 +125,11 @@ class EnumerationResult:
 
     @property
     def main_rate(self) -> float:
-        return sum(self.main_steps) / self.L
+        return sum(self.main_steps) / self.schedule.L
 
     @property
     def leakage(self) -> float:
-        return sum(self.leakage_steps) / self.L
+        return sum(self.leakage_steps) / self.schedule.L
 
     def prefix_mass(self, j: int, prefix: tuple[int, ...]) -> Fraction:
         mass = self._eav_cells[j - 1].get(pack_bits(prefix), (0,))[0]
@@ -181,9 +178,6 @@ def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
                     mixed_01 += w
 
     return EnumerationResult(
-        K=K,
-        B=float(B),
-        L=L,
         schedule=sched,
         law={pattern: Fraction(w, denominator) for pattern, w in weights.items()},
         total_mass=Fraction(sum(weights.values()), denominator),
@@ -219,11 +213,8 @@ class T3Adjudication:
 
 @dataclass
 class VerificationReport:
-    """Closed-form vs exact-law comparison for one instance."""
+    """Closed-form vs exact-law comparison for the instance ``schedule`` carries."""
 
-    K: int
-    B: float
-    L: int
     schedule: ExplorationSchedule
     tol: float
     rows: list[ReportRow]
@@ -239,9 +230,10 @@ class VerificationReport:
         return [r for r in self.rows if not r.informational and r.abs_dev > self.tol]
 
     def render(self) -> str:
+        s = self.schedule
         lines = [
-            f"verification: K={self.K} B={self.B:g} L={self.L} "
-            f"schedule={[int(c) if c == int(c) else c for c in self.schedule.c]}",
+            f"verification: K={s.K} B={s.B:g} L={s.L} "
+            f"schedule={[int(c) if c == int(c) else c for c in s.c]}",
             "",
         ]
         for r in self.rows:
@@ -374,6 +366,4 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
             f"the schedule is fractional; the exact law uses the floored schedule "
             f"{list(sched.c_int)}, as the simulator does"
         )
-    return VerificationReport(
-        K=K, B=float(B), L=L, schedule=sched, tol=TOL, rows=rows, t3=t3, notes=notes
-    )
+    return VerificationReport(schedule=sched, tol=TOL, rows=rows, t3=t3, notes=notes)

@@ -192,16 +192,13 @@ def structural_scan():
     t0 = time.perf_counter()
     cost_bad = replay_bad = mixed_bad = 0
     for K, B, L in C7_GRID:
-        cfg = ModelConfig(K=K, L=L, B=B, seed=29)
         sched = compute_schedule(K, B, L)
         budget = int(B)
-        for word in block_seeds(cfg.seed, 0, C7_BLOCKS):
-            tr = simulate_block(cfg, sched, random.Random(word))
+        for word in block_seeds(29, 0, C7_BLOCKS):
+            tr = simulate_block(sched, random.Random(word))
             if any(p.card > budget for p in tr.probes):
                 cost_bad += 1
-            rep = simulate_block(
-                cfg, sched, random.Random(word), s_l=tr.s_l, s_e=tr.s_e % K + 1
-            )
+            rep = simulate_block(sched, random.Random(word), s_l=tr.s_l, s_e=tr.s_e % K + 1)
             if [p.mask for p in rep.probes] != [p.mask for p in tr.probes]:
                 replay_bad += 1
             saw_10 = False

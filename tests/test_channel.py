@@ -18,7 +18,7 @@ from bbp_secrecy.channel import (
     jcas_step,
     simulate_block,
 )
-from bbp_secrecy.model import ModelConfig, compute_schedule
+from bbp_secrecy.model import compute_schedule
 
 
 def test_beamset_roundtrip():
@@ -97,11 +97,10 @@ def test_first_probe_uses_first_schedule_entry():
 
 
 def test_exploration_probes_are_disjoint_until_detection():
-    cfg = ModelConfig(K=32, L=5, B=8, seed=11)
     sched = compute_schedule(32, 8, 5)
     seen = 0
-    for word in block_seeds(cfg.seed, 0, 300):
-        tr = simulate_block(cfg, sched, random.Random(word))
+    for word in block_seeds(11, 0, 300):
+        tr = simulate_block(sched, random.Random(word))
         upto = tr.y_l.index(1) + 1 if 1 in tr.y_l else len(tr.y_l)
         mask = 0
         for j in range(upto):
@@ -115,11 +114,10 @@ def test_exploration_probes_are_disjoint_until_detection():
 def test_bisection_resolves_to_the_legitimate_beam():
     # With c = [2, 2, 2, 1], a first-step hit forces singleton probes from
     # step 2 on; once feedback disambiguates, every later probe is s_l.
-    cfg = ModelConfig(K=8, L=4, B=2, seed=3)
     sched = compute_schedule(8, 2, 4)
     hits = 0
-    for word in block_seeds(cfg.seed, 0, 400):
-        tr = simulate_block(cfg, sched, random.Random(word))
+    for word in block_seeds(3, 0, 400):
+        tr = simulate_block(sched, random.Random(word))
         if tr.y_l[0] != 1:
             continue
         hits += 1
@@ -139,11 +137,10 @@ def test_bisection_resolves_to_the_legitimate_beam():
 
 
 def test_post_detection_probe_sizes_halve():
-    cfg = ModelConfig(K=32, L=5, B=8, seed=5)
     sched = compute_schedule(32, 8, 5)
     found = 0
-    for word in block_seeds(cfg.seed, 0, 200):
-        tr = simulate_block(cfg, sched, random.Random(word))
+    for word in block_seeds(5, 0, 200):
+        tr = simulate_block(sched, random.Random(word))
         if tr.y_l[0] == 1:
             assert [p.card for p in tr.probes] == [8, 4, 2, 1, 1]
             found += 1
@@ -151,25 +148,21 @@ def test_post_detection_probe_sizes_halve():
 
 
 def test_replay_with_other_eavesdropper_state_is_identical():
-    cfg = ModelConfig(K=16, L=4, B=4, seed=21)
     sched = compute_schedule(16, 4, 4)
-    for word in block_seeds(cfg.seed, 0, 200):
-        tr = simulate_block(cfg, sched, random.Random(word))
+    for word in block_seeds(21, 0, 200):
+        tr = simulate_block(sched, random.Random(word))
         forced = tr.s_e % 16 + 1
-        rep = simulate_block(
-            cfg, sched, random.Random(word), s_l=tr.s_l, s_e=forced
-        )
+        rep = simulate_block(sched, random.Random(word), s_l=tr.s_l, s_e=forced)
         assert [p.mask for p in rep.probes] == [p.mask for p in tr.probes]
         assert rep.y_l == tr.y_l
         assert rep.s_e == forced
 
 
 def test_simulation_is_deterministic_per_seed():
-    cfg = ModelConfig(K=32, L=5, B=8, seed=7)
     sched = compute_schedule(32, 8, 5)
     words = list(block_seeds(7, 0, 20))
-    first = [simulate_block(cfg, sched, random.Random(w)).format_line() for w in words]
-    second = [simulate_block(cfg, sched, random.Random(w)).format_line() for w in words]
+    first = [simulate_block(sched, random.Random(w)).format_line() for w in words]
+    second = [simulate_block(sched, random.Random(w)).format_line() for w in words]
     assert first == second
 
 
@@ -217,10 +210,9 @@ def test_block_seeds_reject_seed_outside_pool(seed):
 )
 def test_cost_constraint_holds(K, B, L, seed):
     B = min(B, K)
-    cfg = ModelConfig(K=K, L=L, B=B, seed=seed)
     sched = compute_schedule(K, B, L)
     for word in block_seeds(seed, 0, 5):
-        tr = simulate_block(cfg, sched, random.Random(word))
+        tr = simulate_block(sched, random.Random(word))
         assert tr.cost_ok
         assert max(p.card for p in tr.probes) <= B
         assert tr.y_l == [int(p.contains(tr.s_l)) for p in tr.probes]
@@ -228,11 +220,10 @@ def test_cost_constraint_holds(K, B, L, seed):
 
 
 def test_fractional_schedule_probes_nothing_on_floored_zero():
-    cfg = ModelConfig(K=2, L=2, B=1, seed=13)
     sched = compute_schedule(2, 1, 2)
     assert list(sched.c_int) == [1, 0]
-    for word in block_seeds(cfg.seed, 0, 50):
-        tr = simulate_block(cfg, sched, random.Random(word))
+    for word in block_seeds(13, 0, 50):
+        tr = simulate_block(sched, random.Random(word))
         if tr.y_l[0] == 1:
             # detected: half of a single beam is floored up to that same beam
             assert tr.probes[1] == tr.probes[0]
@@ -276,11 +267,10 @@ GOLDEN_STREAMS = [
 @pytest.mark.parametrize("n", range(len(GOLDEN_STREAMS)))
 def test_random_stream_matches_golden_digest(n):
     (K, B, L), digest = GOLDEN_STREAMS[n]
-    cfg = ModelConfig(K=K, L=L, B=B, seed=1000 + n)
     sched = compute_schedule(K, B, L)
-    words = np.random.SeedSequence(cfg.seed).generate_state(2000, np.uint64).tolist()
+    words = np.random.SeedSequence(1000 + n).generate_state(2000, np.uint64).tolist()
     lines = []
     for word in words:
-        tr = simulate_block(cfg, sched, random.Random(word))
+        tr = simulate_block(sched, random.Random(word))
         lines.append(f"{tr.format_line()} {tr.clamp_count} {int(tr.cost_ok)}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest

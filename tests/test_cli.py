@@ -206,6 +206,10 @@ def test_each_query_builds_one_schedule(capsys, monkeypatch):
     rc, _, _ = run(capsys, "simulate", "--K", "8", "--B", "2", "--L", "4", "--blocks", "20")
     assert rc == 0
     assert len(calls) == 1
+    calls.clear()
+    rc, _, _ = run(capsys, "bounds", "--K", "32", "--B", "8", "--L", "5")
+    assert rc == 0
+    assert calls == [(32, 8.0, 5)]
 
 
 def test_simulate_rejects_zero_blocks(capsys):

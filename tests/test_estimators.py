@@ -64,9 +64,19 @@ def test_collection_goes_through_the_traced_calls(monkeypatch):
     sched = compute_schedule(32, 8, 5)
     fresh = Counter()
     for word in block_seeds(cfg.seed, 0, cfg.blocks):
-        t = simulate_block(cfg, sched, random.Random(word))
+        t = simulate_block(sched, random.Random(word))
         fresh[pack_bits(t.y_l), pack_bits(t.y_e)] += 1
     assert stats.pattern_counts == fresh
+
+
+@pytest.mark.parametrize("K,B,L", [(64, 8, 5), (32, 16, 5), (32, 8, 3)])
+def test_schedule_of_another_instance_is_refused(K, B, L):
+    # The simulator reads the instance from the schedule, so a schedule that
+    # disagrees with the config would run another instance, flag every block
+    # as over budget, or index past its end.
+    cfg = ModelConfig(K=32, L=5, B=8, seed=1, blocks=200)
+    with pytest.raises(ValueError, match="differs from the config"):
+        estimate_rates(cfg, compute_schedule(K, B, L))
 
 
 def test_worker_request_is_capped_by_cpus_and_blocks(monkeypatch):
@@ -101,7 +111,7 @@ def test_group_counts_partition_the_pattern_counts():
 def test_single_step_rate_matches_closed_form():
     cfg = ModelConfig(K=4, L=1, B=1, seed=5, blocks=40_000)
     main, leak, stats = estimate_rates(cfg)
-    assert main.blocks == 40_000
+    assert stats.blocks == 40_000
     assert 0 < main.stderr < 0.01
     assert abs(main.value - H4) < 5 * main.stderr
     # single uniform probe: eavesdropper sees the same marginal

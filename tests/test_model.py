@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bbp_secrecy.bounds import bound_point
 from bbp_secrecy.model import ModelConfig, binary_entropy, compute_schedule
 
 H_QUARTER = 0.8112781244591328  # -0.25*log2(0.25) - 0.75*log2(0.75)
@@ -114,6 +115,7 @@ def test_schedule_saturates_at_half_k(L):
         dict(K=0, L=2, B=1),
         dict(K=4.5, L=2, B=1),
         dict(K=4, L=0, B=1),
+        dict(K=4, L=2.0, B=1),
         dict(K=4, L=2, B=0),
         dict(K=4, L=2, B=-1),
         dict(K=4, L=2, B=5),
@@ -125,8 +127,14 @@ def test_schedule_saturates_at_half_k(L):
     ],
 )
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as config_error:
         ModelConfig(**kwargs)
+    if kwargs.keys() == {"K", "L", "B"}:
+        # A bad instance: the schedule and the bounds refuse it by the same rule.
+        for build in (compute_schedule, bound_point):
+            with pytest.raises(ValueError) as error:
+                build(kwargs["K"], kwargs["B"], kwargs["L"])
+            assert str(error.value) == str(config_error.value)
 
 
 def test_config_accepts_fractional_budget():
