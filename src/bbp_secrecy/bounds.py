@@ -24,15 +24,23 @@ The closed forms are functions of the schedule c_1..c_L alone: they take an
 ``ExplorationSchedule`` and read K and L from it, so a caller that holds a
 schedule never builds it again.  ``bound_point(K, B, L)`` is the entry point
 for a plain (K, B, L) query.
+
+Each form makes one pass over the steps, with the T3 factors c_{k+1}^2 / K^2
+(per schedule) and (1/2)^(2m+1) (a constant) precomputed.  Every term keeps the
+formula's float operations and addition order, so the outputs are byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ExplorationSchedule, binary_entropy, compute_schedule
+from .model import MAX_USES, ExplorationSchedule, binary_entropy, compute_schedule
 
 T3_VARIANTS = ("as_printed", "state_summed")
+
+# half[m] = (1/2)^(2m+1) for every m a block can reach, and the same backwards.
+_HALF = [0.5**e for e in range(1, 2 * MAX_USES, 2)]
+_HALF_DOWN = _HALF[::-1]
 
 
 @dataclass(frozen=True)
@@ -79,13 +87,15 @@ def _share(c: float, rem: float) -> float:
     return c / rem if rem else 0.0
 
 
-def _deep_mass(sched: ExplorationSchedule, j: int, k: int, t3_variant: str) -> float:
-    """Closed-form mass of the prefix 0^k 1^(j-1-k) with j - 1 - k >= 2."""
-    K = sched.K
-    base = (sched.c[k] ** 2 / K**2) * 0.5 ** (2 * (j - k - 2) - 1)
-    if t3_variant == "as_printed":
-        return base / K
-    return base
+def _deep_factors(sched: ExplorationSchedule, t3_variant: str) -> tuple[list, float]:
+    """T3 mass of prefix 0^k 1^(j-1-k), j-1-k >= 2: sq[k] * _HALF[j-k-3] / div.
+
+    sq[k] = c_{k+1}^2 / K^2; div is K, or 1 (exact) for ``state_summed``.
+    """
+    if t3_variant not in T3_VARIANTS:
+        raise ValueError(f"unknown t3_variant {t3_variant!r}")
+    K2 = sched.K**2
+    return [cj**2 / K2 for cj in sched.c], float(sched.K) if t3_variant == "as_printed" else 1.0
 
 
 def prefix_probability_table(
@@ -97,27 +107,28 @@ def prefix_probability_table(
     listed.  Non-monotone prefixes carry the remaining probability mass and
     contribute no entropy in the closed form.
     """
-    if t3_variant not in T3_VARIANTS:
-        raise ValueError(f"unknown t3_variant {t3_variant!r}")
-    K, L = sched.K, sched.L
+    sq, div = _deep_factors(sched, t3_variant)
+    K = sched.K
     entries: dict[tuple[int, int], PrefixEntry] = {}
-    for j in range(1, L + 1):
+    c_prev = rem_prev = 0.0
+    for j, (cumr, cj) in enumerate(zip((0.0, *sched.cum), sched.c), 1):
+        rem = K - cumr
         for k in range(j - 1, -1, -1):
             prefix = "0" * k + "1" * (j - 1 - k)
             if k == j - 1:
-                mass = (K - sched.cum_before(j)) / K
-                flip = sched.c[j - 1] / K
+                mass = rem / K
+                flip = cj / K
                 kind = "unexplored"
             elif k == j - 2:
-                rem = K - sched.cum_before(j - 1)
-                mass = sched.c[j - 2] * rem / K**2
-                flip = 0.5 * _share(sched.c[j - 2], rem)
+                mass = c_prev * rem_prev / K**2
+                flip = 0.5 * _share(c_prev, rem_prev)
                 kind = "just_hit"
             else:
-                mass = _deep_mass(sched, j, k, t3_variant)
+                mass = sq[k] * _HALF[j - k - 3] / div
                 flip = 0.5
                 kind = "post_detection"
-            entries[(j, k)] = PrefixEntry(j=j, k=k, prefix=prefix, mass=mass, flip=flip, kind=kind)
+            entries[(j, k)] = PrefixEntry(j, k, prefix, mass, flip, kind)
+        c_prev, rem_prev = cj, rem
     return entries
 
 
@@ -130,30 +141,28 @@ def main_step_entropies(sched: ExplorationSchedule) -> list[float]:
     """
     K = sched.K
     out = []
-    for j in range(1, sched.L + 1):
-        cumr = sched.cum_before(j)
+    for cumr, cj in zip((0.0, *sched.cum), sched.c):
         rem = K - cumr
-        out.append((rem / K) * binary_entropy(_share(sched.c[j - 1], rem)) + cumr / K)
+        out.append((rem / K) * binary_entropy(_share(cj, rem)) + cumr / K)
     return out
 
 
 def leakage_rate(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> float:
     """Per-use equivocation loss to the eavesdropper (bits/channel use)."""
-    if t3_variant not in T3_VARIANTS:
-        raise ValueError(f"unknown t3_variant {t3_variant!r}")
+    sq, div = _deep_factors(sched, t3_variant)
     K, L = sched.K, sched.L
-    total = 0.0
-    for j in range(1, L + 1):
-        rem = K - sched.cum_before(j)
-        total += (rem / K) * binary_entropy(sched.c[j - 1] / K)
+    K2 = K**2
+    sq1 = sq[1:]
+    total = c_prev = rem_prev = 0.0
+    for j, (cumr, cj) in enumerate(zip((0.0, *sched.cum), sched.c), 1):
+        rem = K - cumr
+        total += (rem / K) * binary_entropy(cj / K)
         if j >= 2:
-            rem2 = K - sched.cum_before(j - 1)
-            total += (sched.c[j - 2] * rem2 / K**2) * binary_entropy(
-                0.5 * _share(sched.c[j - 2], rem2)
-            )
-        for k in range(1, j - 2):
-            # H(1/2) = 1, so deep prefixes contribute their mass directly.
-            total += _deep_mass(sched, j, k, t3_variant)
+            total += (c_prev * rem_prev / K2) * binary_entropy(0.5 * _share(c_prev, rem_prev))
+        # H(1/2) = 1, so deep prefixes contribute their mass directly.
+        for s, h in zip(sq1, _HALF_DOWN[MAX_USES - j + 3 :]):  # half[j-4], ..., half[0]
+            total += s * h / div
+        c_prev, rem_prev = cj, rem
     return total / L
 
 

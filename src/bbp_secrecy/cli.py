@@ -99,6 +99,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if n_b * len(L_values) > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep grid exceeds {MAX_SWEEP_ROWS} rows; use a coarser B step")
     b_grid = [args.B_start + i * args.B_step for i in range(n_b)]
+    for B in (b_grid[0], b_grid[-1]):  # the B range, before any row is built
+        check_instance(args.K, B, L_values[0])
     rows = []
     for L in L_values:
         for B in b_grid:

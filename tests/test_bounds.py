@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -221,3 +223,95 @@ def test_unknown_t3_variant_rejected():
         leakage_rate(compute_schedule(8, 2, 4), t3_variant="other")
     with pytest.raises(ValueError):
         prefix_probability_table(compute_schedule(8, 2, 4), t3_variant="other")
+
+
+# Reference closed forms, evaluated per term exactly as the module docstring
+# writes them: every deep mass computed on its own, c_int by math.floor.  The
+# module must reproduce these bit for bit (==, not approx).
+
+
+def _ref_cum_before(sched, j):
+    return sched.cum[j - 2] if j >= 2 else 0.0
+
+
+def _ref_share(c, rem):
+    return c / rem if rem else 0.0
+
+
+def _ref_deep_mass(sched, j, k, variant):
+    K = sched.K
+    base = (sched.c[k] ** 2 / K**2) * 0.5 ** (2 * (j - k - 2) - 1)
+    return base / K if variant == "as_printed" else base
+
+
+def _ref_main_step_entropies(sched):
+    K = sched.K
+    out = []
+    for j in range(1, sched.L + 1):
+        cumr = _ref_cum_before(sched, j)
+        rem = K - cumr
+        out.append((rem / K) * binary_entropy(_ref_share(sched.c[j - 1], rem)) + cumr / K)
+    return out
+
+
+def _ref_leakage_rate(sched, variant):
+    K, L = sched.K, sched.L
+    total = 0.0
+    for j in range(1, L + 1):
+        rem = K - _ref_cum_before(sched, j)
+        total += (rem / K) * binary_entropy(sched.c[j - 1] / K)
+        if j >= 2:
+            rem2 = K - _ref_cum_before(sched, j - 1)
+            total += (sched.c[j - 2] * rem2 / K**2) * binary_entropy(
+                0.5 * _ref_share(sched.c[j - 2], rem2)
+            )
+        for k in range(1, j - 2):
+            total += _ref_deep_mass(sched, j, k, variant)
+    return total / L
+
+
+def _ref_table(sched, variant):
+    K = sched.K
+    out = {}
+    for j in range(1, sched.L + 1):
+        for k in range(j - 1, -1, -1):
+            if k == j - 1:
+                mass, flip = (K - _ref_cum_before(sched, j)) / K, sched.c[j - 1] / K
+            elif k == j - 2:
+                rem = K - _ref_cum_before(sched, j - 1)
+                mass = sched.c[j - 2] * rem / K**2
+                flip = 0.5 * _ref_share(sched.c[j - 2], rem)
+            else:
+                mass, flip = _ref_deep_mass(sched, j, k, variant), 0.5
+            out[(j, k)] = (mass, flip)
+    return out
+
+
+def _budgets(K):
+    """Integer, half-integer and irrational-looking budgets B <= K."""
+    return sorted({1, K // 2, K, 1.5, K // 2 + 0.5, K / math.e})
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 16, 33, 80, 1024])
+@pytest.mark.parametrize("K", [2, 3, 8, 32, 1024, 2**40])
+def test_closed_forms_bit_identical_to_per_term_reference(K, L):
+    # At L = 1024 one budget keeps the reference's O(L^2) Python loop short
+    # (the pinned test below adds a half-integer one), and the prefix table,
+    # whose prefix strings hold O(L^3) characters, is skipped.
+    budgets = _budgets(K) if L < 1024 else [K / math.e]
+    for B in budgets:
+        sched = compute_schedule(K, B, L)
+        assert sched.c_int == tuple(math.floor(cj) for cj in sched.c)
+        assert main_step_entropies(sched) == _ref_main_step_entropies(sched)
+        for variant in T3_VARIANTS:
+            assert leakage_rate(sched, variant) == _ref_leakage_rate(sched, variant)
+            if L < 1024:
+                table = prefix_probability_table(sched, t3_variant=variant)
+                got = {key: (e.mass, e.flip) for key, e in table.items()}
+                assert list(got.items()) == list(_ref_table(sched, variant).items())
+
+
+def test_leakage_bits_pinned_at_longest_block():
+    sched = compute_schedule(1024, 3.5, 1024)
+    assert leakage_rate(sched, "as_printed").hex() == "0x1.364f593bcba05p-8"
+    assert leakage_rate(sched, "state_summed").hex() == "0x1.36746c2da0f57p-8"

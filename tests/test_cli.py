@@ -147,6 +147,44 @@ def test_sweep_rejects_grid_over_row_cap(tmp_path, capsys):
     assert rc == 1 and "rows" in err
 
 
+def _count_bound_points(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bounds.bound_point(*args)
+
+    monkeypatch.setattr(cli, "bound_point", counted)
+    return calls
+
+
+def test_sweep_checks_b_range_before_any_row(tmp_path, capsys, monkeypatch):
+    calls = _count_bound_points(monkeypatch)
+    out_csv = tmp_path / "g.csv"
+    rc, _, err = run(
+        capsys, "sweep", "--K", "8", "--L", "4", "--B-start", "1",
+        "--B-stop", "9", "--B-step", "0.5", "--out", str(out_csv),
+    )
+    assert rc == 1
+    assert "exceeds the number of beams" in err
+    assert calls == []
+    assert not out_csv.exists()
+
+
+def test_sweep_calls_traced_bound_point_once_per_row(tmp_path, capsys, monkeypatch):
+    # The benchmark times sweep rows through the cli.bound_point attribute.
+    calls = _count_bound_points(monkeypatch)
+    out_csv = tmp_path / "g.csv"
+    rc, _, _ = run(
+        capsys, "sweep", "--K", "8", "--L", "3,2", "--B-start", "1",
+        "--B-stop", "4", "--B-step", "0.5", "--out", str(out_csv),
+    )
+    assert rc == 0
+    rows = [l.split(",")[:3] for l in out_csv.read_text().splitlines()[1:]]
+    assert len(calls) == len(rows) == 14
+    assert [(str(K), str(L), cli._fmt_b(B)) for K, B, L in calls] == [tuple(r) for r in rows]
+
+
 def test_sweep_unwritable_path_is_io_error(capsys):
     rc, _, err = run(capsys, "sweep", "--out", "/nonexistent-dir/x.csv")
     assert rc == 2
