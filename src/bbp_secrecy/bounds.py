@@ -23,7 +23,9 @@ law.  The default everywhere is the expression as written above.
 The closed forms are functions of the schedule c_1..c_L alone: they take an
 ``ExplorationSchedule`` and read K and L from it, so a caller that holds a
 schedule never builds it again.  ``bound_point(K, B, L)`` is the entry point
-for a plain (K, B, L) query.
+for a plain (K, B, L) query.  ``prefix_probability_table`` maps each key
+(j, k) of a prefix 0^k 1^(j-1-k) to its numbers alone, ``PrefixEntry(mass,
+flip)``; a caller that wants the prefix spelled out builds it from the key.
 
 Each form makes one pass over the steps, with the T3 factors c_{k+1}^2 / K^2
 (per schedule) and (1/2)^(2m+1) (a constant) precomputed.  Every term keeps the
@@ -33,6 +35,7 @@ formula's float operations and addition order, so the outputs are byte-identical
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import MAX_USES, ExplorationSchedule, binary_entropy, compute_schedule
 
@@ -58,23 +61,17 @@ class BoundPoint:
     inner: float
 
 
-@dataclass(frozen=True)
-class PrefixEntry:
-    """One tabulated eavesdropper-output prefix 0^k 1^(j-1-k) at step j.
+class PrefixEntry(NamedTuple):
+    """Closed-form numbers of the eavesdropper-output prefix 0^k 1^(j-1-k) at step j.
 
-    ``mass`` is the closed-form probability of observing the prefix;
-    ``flip`` the closed-form P(Y_j^e = 1 | prefix).  ``kind`` is one of
-    ``unexplored`` (all-zero prefix), ``just_hit`` (single trailing one) or
-    ``post_detection`` (two or more trailing ones).  (j, k) identifies the
-    entry; ``prefix`` spells it out for display.
+    ``mass`` is the probability of observing the prefix, ``flip`` the
+    P(Y_j^e = 1 | prefix).  The table key (j, k) names the prefix: k = j-1 is
+    the all-zero prefix, k = j-2 a single trailing one, and k <= j-3 a
+    post-detection prefix (two or more trailing ones, flip 1/2).
     """
 
-    j: int
-    k: int
-    prefix: str
     mass: float
     flip: float
-    kind: str
 
 
 def _share(c: float, rem: float) -> float:
@@ -114,20 +111,13 @@ def prefix_probability_table(
     for j, (cumr, cj) in enumerate(zip((0.0, *sched.cum), sched.c), 1):
         rem = K - cumr
         for k in range(j - 1, -1, -1):
-            prefix = "0" * k + "1" * (j - 1 - k)
             if k == j - 1:
-                mass = rem / K
-                flip = cj / K
-                kind = "unexplored"
+                mass, flip = rem / K, cj / K
             elif k == j - 2:
-                mass = c_prev * rem_prev / K**2
-                flip = 0.5 * _share(c_prev, rem_prev)
-                kind = "just_hit"
+                mass, flip = c_prev * rem_prev / K**2, 0.5 * _share(c_prev, rem_prev)
             else:
-                mass = sq[k] * _HALF[j - k - 3] / div
-                flip = 0.5
-                kind = "post_detection"
-            entries[(j, k)] = PrefixEntry(j, k, prefix, mass, flip, kind)
+                mass, flip = sq[k] * _HALF[j - k - 3] / div, 0.5
+            entries[(j, k)] = PrefixEntry(mass, flip)
         c_prev, rem_prev = cj, rem
     return entries
 

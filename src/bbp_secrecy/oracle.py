@@ -333,8 +333,8 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
     deep_closed = dict.fromkeys(tables, 0.0)
     for (j, k), e in sorted(tables["as_printed"].items()):
         prefix = (0,) * k + (1,) * (j - 1 - k)
-        label = e.prefix if e.prefix else "empty"
-        informational = e.kind == "post_detection"
+        label = "0" * k + "1" * (j - 1 - k) or "empty"
+        informational = j - 1 - k >= 2  # post-detection: two or more trailing ones
         mass = float(enum.prefix_mass(j, prefix))
         rows.append(ReportRow(f"prefix_mass_j{j}_p{label}", e.mass, mass, informational))
         flip = enum.prefix_flip(j, prefix)
@@ -343,9 +343,9 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
         if informational and k >= 1:
             if flip is not None:
                 t3.oracle_value += mass * binary_entropy(float(flip))
+            # Deep flips are 1/2 and H(1/2) = 1, so each adds its mass.
             for v, entries in tables.items():
-                d = entries[(j, k)]
-                deep_closed[v] += d.mass * binary_entropy(d.flip)
+                deep_closed[v] += entries[j, k].mass
     rows.append(ReportRow("flip_mass_after_joint_10", 0.0, float(enum.mixed_mass_10)))
     rows.append(ReportRow("flip_mass_after_joint_01", 0.0, float(enum.mixed_mass_01)))
 

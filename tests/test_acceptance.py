@@ -160,9 +160,8 @@ def test_c6_leakage_within_three_sigma(mc_run):
 
 def _flip_cases():
     for (j, k), entry in sorted(MC_TABLE.items()):
-        if entry.flip is None:
-            continue
-        yield pytest.param(j, entry.prefix, float(entry.flip), id=f"j{j}-{entry.prefix or 'empty'}")
+        prefix = "0" * k + "1" * (j - 1 - k)
+        yield pytest.param(j, prefix, entry.flip, id=f"j{j}-{prefix or 'empty'}")
 
 
 @pytest.mark.parametrize("j,prefix,closed", list(_flip_cases()))

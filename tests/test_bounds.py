@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from bbp_secrecy.bounds import (
     T3_VARIANTS,
+    PrefixEntry,
     bound_point,
     leakage_rate,
     main_step_entropies,
@@ -186,7 +188,7 @@ def test_leakage_matches_table_sum(K, B, L, variant):
     total = sum(
         e.mass * binary_entropy(e.flip)
         for (j, k), e in table.items()
-        if not (e.kind == "post_detection" and k == 0)
+        if not (j - 1 - k >= 2 and k == 0)
     )
     assert total / L == pytest.approx(
         leakage_rate(compute_schedule(K, B, L), t3_variant=variant), abs=1e-12
@@ -195,14 +197,14 @@ def test_leakage_matches_table_sum(K, B, L, variant):
 
 def test_table_entries_hand_checked():
     table = prefix_probability_table(compute_schedule(8, 2, 3))
-    empty = table[(1, 0)]
-    assert empty.prefix == "" and empty.mass == 1.0 and empty.flip == 0.25
-    just_hit = table[(3, 1)]
-    assert just_hit.prefix == "01"
+    assert set(table) == {(j, k) for j in range(1, 4) for k in range(j)}
+    empty = table[(1, 0)]  # the empty prefix
+    assert empty == (1.0, 0.25)
+    just_hit = table[(3, 1)]  # prefix 01
     assert just_hit.mass == pytest.approx(2 * 6 / 64, abs=1e-15)
     assert just_hit.flip == pytest.approx(0.5 * 2 / 6, abs=1e-15)
-    deep = table[(3, 0)]
-    assert deep.prefix == "11" and deep.flip == 0.5
+    deep = table[(3, 0)]  # prefix 11
+    assert deep.flip == 0.5
     assert deep.mass == pytest.approx(1 / 256, abs=1e-18)
     summed = prefix_probability_table(compute_schedule(8, 2, 3), t3_variant="state_summed")
     deep_summed = summed[(3, 0)]
@@ -210,12 +212,22 @@ def test_table_entries_hand_checked():
 
 
 def test_table_layout_covers_monotone_prefixes():
+    # Key (j, k) is the prefix 0^k 1^(j-1-k): every k < j at every step, and
+    # each entry holds its (mass, flip) numbers only.  c = (8, 8, 8, 4, 2).
     table = prefix_probability_table(compute_schedule(32, 8, 5))
-    for j in range(1, 6):
-        prefixes = {e.prefix for (jj, _), e in table.items() if jj == j}
-        assert prefixes == {"0" * k + "1" * (j - 1 - k) for k in range(j)}
-    kinds = {e.kind for e in table.values()}
-    assert kinds == {"unexplored", "just_hit", "post_detection"}
+    assert set(table) == {(j, k) for j in range(1, 6) for k in range(j)}
+    assert PrefixEntry._fields == ("mass", "flip")
+    assert all(type(e) is PrefixEntry for e in table.values())
+    unexplored = [table[(j, j - 1)] for j in range(1, 6)]
+    assert unexplored == [(1.0, 0.25), (0.75, 0.25), (0.5, 0.25), (0.25, 0.125), (0.125, 0.0625)]
+    just_hit = [table[(j, j - 2)] for j in range(2, 6)]
+    assert just_hit == [
+        (0.25, 0.125), (0.1875, pytest.approx(1 / 6)), (0.125, 0.25), (0.03125, 0.25)
+    ]
+    deep = {key: e for key, e in table.items() if key[0] - 1 - key[1] >= 2}
+    assert sorted(deep) == [(3, 0), (4, 0), (4, 1), (5, 0), (5, 1), (5, 2)]
+    assert all(e.flip == 0.5 for e in deep.values())
+    assert table[(4, 1)].mass == (8 / 32) ** 2 * 0.5 / 32
 
 
 def test_unknown_t3_variant_rejected():
@@ -295,9 +307,9 @@ def _budgets(K):
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 16, 33, 80, 1024])
 @pytest.mark.parametrize("K", [2, 3, 8, 32, 1024, 2**40])
 def test_closed_forms_bit_identical_to_per_term_reference(K, L):
-    # At L = 1024 one budget keeps the reference's O(L^2) Python loop short
-    # (the pinned test below adds a half-integer one), and the prefix table,
-    # whose prefix strings hold O(L^3) characters, is skipped.
+    # At L = 1024 one budget keeps the reference's O(L^2) Python loops short
+    # (the pinned test below adds a half-integer one), and one instance,
+    # K = 1024 at B = 3.5, checks the 524 800-entry table.
     budgets = _budgets(K) if L < 1024 else [K / math.e]
     for B in budgets:
         sched = compute_schedule(K, B, L)
@@ -307,8 +319,27 @@ def test_closed_forms_bit_identical_to_per_term_reference(K, L):
             assert leakage_rate(sched, variant) == _ref_leakage_rate(sched, variant)
             if L < 1024:
                 table = prefix_probability_table(sched, t3_variant=variant)
-                got = {key: (e.mass, e.flip) for key, e in table.items()}
-                assert list(got.items()) == list(_ref_table(sched, variant).items())
+                assert list(table.items()) == list(_ref_table(sched, variant).items())
+    if (K, L) == (1024, 1024):
+        sched = compute_schedule(K, 3.5, L)
+        table = prefix_probability_table(sched, t3_variant="as_printed")
+        assert list(table.items()) == list(_ref_table(sched, "as_printed").items())
+
+
+def test_prefix_table_holds_numbers_only():
+    # Each entry is two floats: no per-entry string, so memory grows as the
+    # L(L+1)/2 entries do and not as the O(L^3) characters of spelled-out
+    # prefixes.  About 185 bytes per entry go to the key, the entry and
+    # their floats.
+    sched = compute_schedule(64, 3.5, 256)
+    tracemalloc.start()
+    try:
+        table = prefix_probability_table(sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 256 * 257 // 2
+    assert peak < 256 * len(table)
 
 
 def test_leakage_bits_pinned_at_longest_block():

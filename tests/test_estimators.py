@@ -165,12 +165,12 @@ def test_unseen_prefixes_shrink_with_sample_size():
 def test_unseen_prefixes_are_the_unseen_table_keys(K, B, L, blocks):
     stats = collect_stats(ModelConfig(K=K, L=L, B=B, seed=2, blocks=blocks))
     table = prefix_probability_table(compute_schedule(K, B, L))
-    # Read each entry's bits from its display string, independently of the
-    # arithmetic packing that unseen_table_prefixes uses.
+    # Pack each key's bits 0^k 1^(j-1-k) with pack_bits, independently of the
+    # shift arithmetic that unseen_table_prefixes uses.
     unseen = [
         (j, k)
-        for (j, k), e in sorted(table.items())
-        if int(e.prefix[::-1] or "0", 2) not in stats.prefix_stats("eav", j)
+        for j, k in sorted(table)
+        if pack_bits((0,) * k + (1,) * (j - 1 - k)) not in stats.prefix_stats("eav", j)
     ]
     assert unseen_table_prefixes(stats) == unseen
 
