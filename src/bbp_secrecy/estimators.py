@@ -26,7 +26,6 @@ import os
 import random
 import statistics
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .channel import block_seeds, simulate_block
@@ -163,6 +162,7 @@ def collect_stats(
     if workers == 1:
         return _collect_range(config, schedule, 0, config.blocks, dump_path)
 
+    from concurrent.futures import ProcessPoolExecutor  # 30 ms to import; only pools need it
     edges = [config.blocks * i // workers for i in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [

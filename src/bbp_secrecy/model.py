@@ -64,17 +64,33 @@ def prefix_cells(law, stream: int, L: int) -> list[dict[int, list]]:
     exact weights over a common denominator.  ``stream`` selects y_l (0) or
     y_e (1).  Entry j-1 maps each packed (j-1)-bit prefix to the weight of
     the patterns that start with it and the weight of those among them with
-    bit j set, in the order the prefixes first occur in ``law``.
+    bit j set, in the order the prefixes first occur in ``law``.  One pass
+    over ``law`` fills step L; each earlier step folds the step after it by
+    dropping the prefixes' top bit, which keeps that order.
     """
-    cells: list[dict[int, list]] = [{} for _ in range(L)]
-    masks = [(1 << j) - 1 for j in range(L)]
+    mask = (1 << (L - 1)) - 1
+    step: dict[int, list] = {}
     for pattern, weight in law.items():
         bits = pattern[stream]
-        for j in range(L):
-            cell = cells[j].setdefault(bits & masks[j], [0, 0])
-            cell[0] += weight
-            if bits >> j & 1:
-                cell[1] += weight
+        cell = step.get(bits & mask)
+        if cell is None:
+            cell = step[bits & mask] = [0, 0]
+        cell[0] += weight
+        if bits >> (L - 1) & 1:
+            cell[1] += weight
+    cells = [step]
+    for j in range(L - 1, 0, -1):
+        mask >>= 1
+        step = {}
+        for prefix, (mass, _) in cells[-1].items():
+            cell = step.get(prefix & mask)
+            if cell is None:
+                cell = step[prefix & mask] = [0, 0]
+            cell[0] += mass
+            if prefix >> (j - 1) & 1:
+                cell[1] += mass
+        cells.append(step)
+    cells.reverse()
     return cells
 
 

@@ -1,17 +1,18 @@
 """Exact transcript law of the probing policy and closed-form verification.
 
-``exact_enumeration`` returns the full joint law of the feedback pair
-(y_l, y_e) with exact ``fractions.Fraction`` probabilities, from one forward
-pass over a lumped Markov chain whose weights are plain integers over one
-common denominator.  Probes are uniform subsets of the pool, so beam labels
-are exchangeable: a state is the feedback so far, the pool size, the step of
-the first legitimate hit (0 while exploring) and where the eavesdropper sits
+``exact_enumeration`` computes the joint law of the feedback pair (y_l, y_e)
+in one forward pass over a lumped Markov chain on integer weights over one
+common denominator, each pattern packed into an integer; ``law`` exposes them
+as exact ``fractions.Fraction`` probabilities, built on first access.
+Probes are uniform subsets of the pool, so beam labels are exchangeable: a
+state is the feedback so far, the pool size, the step of the first
+legitimate hit (0 while exploring) and where the eavesdropper sits
 (coincident, elsewhere in the pool, or outside it), and each step branches
-hypergeometrically.  Lumping is exact (Kemeny & Snell,
-*Finite Markov Chains*, 6.3).  The policy transition is re-implemented here
-on purpose — the law must stay independent of the simulator it is used to
-check.  The statistics of the law (prefix cells, step entropies) are not:
-they come from ``model``, shared with the Monte Carlo estimators.
+hypergeometrically.  Lumping is exact (Kemeny & Snell, *Finite Markov
+Chains*, 6.3).  The policy transition is re-implemented here on purpose —
+the law must stay independent of the simulator it is used to check.  The
+statistics of the law (prefix cells, step entropies) are not: they come from
+``model``, shared with the Monte Carlo estimators.
 
 ``verify_against_closed_forms`` compares the exact law against the
 closed-form per-step entropies, every tabulated prefix mass/flip
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .bounds import (
     T3_VARIANTS,
@@ -52,7 +54,7 @@ class GuardRailError(ValueError):
 
 
 def _lumped_law(K: int, c_int: tuple[int, ...], L: int) -> tuple[dict, int]:
-    """Joint law of (y_l, y_e), averaged over uniform receiver states.
+    """Joint law of packed (y_l, y_e), averaged over uniform receiver states.
 
     A probe takes q of the n pool beams: c_j while exploring, and after a
     first hit at step det, c_det halved once per step since (at least 1).  It
@@ -62,14 +64,15 @@ def _lumped_law(K: int, c_int: tuple[int, ...], L: int) -> tuple[dict, int]:
     after a hit and the rest after a miss; the eavesdropper stays in it only
     when its bit equals the legitimate one.
 
-    Weights are integers over one common denominator D, returned with the
-    law: each step brings every state to the lcm of the step's branch
-    denominators, n(n - 1) with an in-pool eavesdropper and n otherwise, so
-    the probabilities are exactly weight / D.
+    Patterns are packed as by ``model.pack_bits``, step j in bit j-1, in the
+    states and the law's keys.  Weights are integers over one common
+    denominator D, returned with the law: each step brings every state to
+    the lcm of the step's branch denominators, n(n - 1) with an in-pool
+    eavesdropper and n otherwise, so the probabilities are exactly weight / D.
     """
     frontier = {
-        ((), (), K, 0, COINCIDENT): 1,
-        ((), (), K, 0, IN_POOL): K - 1,
+        (0, 0, K, 0, COINCIDENT): 1,
+        (0, 0, K, 0, IN_POOL): K - 1,
     }
     denominator = K
     for j in range(1, L + 1):
@@ -84,6 +87,7 @@ def _lumped_law(K: int, c_int: tuple[int, ...], L: int) -> tuple[dict, int]:
         scale = math.lcm(*dens.values())
         denominator *= scale
         step: dict = {}
+        bit = 1 << (j - 1)
         for (yl, ye, n, det, place), w in frontier.items():
             q = min(max(c_int[det - 1] >> (j - det), 1) if det else c_int[j - 1], n)
             w *= scale // dens[n, place]
@@ -100,10 +104,11 @@ def _lumped_law(K: int, c_int: tuple[int, ...], L: int) -> tuple[dict, int]:
                     eav = ((bl if place == COINCIDENT else 0, 1, place),)
                 for be, w_e, where in eav:
                     if w_e:
-                        key = (yl + (bl,), ye + (be,), q if bl else n - q, det or bl * j, where)
+                        key = (yl | bl * bit, ye | be * bit, q if bl else n - q,
+                               det or bl * j, where)
                         step[key] = step.get(key, 0) + w * w_l * w_e
         frontier = step
-    law: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    law: dict[tuple[int, int], int] = {}
     for (yl, ye, *_), w in frontier.items():
         law[(yl, ye)] = law.get((yl, ye), 0) + w
     return law, denominator
@@ -114,14 +119,23 @@ class EnumerationResult:
     """Exact transcript law of the instance ``schedule`` carries, plus its rates."""
 
     schedule: ExplorationSchedule
-    law: dict
-    total_mass: Fraction
     main_steps: list[float]
     leakage_steps: list[float]
-    mixed_mass_10: Fraction
-    mixed_mass_01: Fraction
-    _eav_cells: list[dict] = field(repr=False, default_factory=list)
+    _weights: dict = field(repr=False, default_factory=dict)
     _denominator: int = field(repr=False, default=1)
+    _eav_cells: list[dict] = field(repr=False, default_factory=list)
+    _mixed: tuple[int, int] = field(repr=False, default=(0, 0))
+
+    @cached_property
+    def law(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
+        """The chain's integer weights as ``Fraction`` probabilities, built on first access."""
+        L, d = self.schedule.L, self._denominator
+        bits = [tuple(p >> i & 1 for i in range(L)) for p in range(1 << L)]
+        return {(bits[yl], bits[ye]): Fraction(w, d) for (yl, ye), w in self._weights.items()}
+
+    total_mass = property(lambda self: Fraction(sum(self._weights.values()), self._denominator))
+    mixed_mass_10 = property(lambda self: Fraction(self._mixed[0], self._denominator))
+    mixed_mass_01 = property(lambda self: Fraction(self._mixed[1], self._denominator))
 
     @property
     def main_rate(self) -> float:
@@ -132,14 +146,11 @@ class EnumerationResult:
         return sum(self.leakage_steps) / self.schedule.L
 
     def prefix_mass(self, j: int, prefix: tuple[int, ...]) -> Fraction:
-        mass = self._eav_cells[j - 1].get(pack_bits(prefix), (0,))[0]
-        return Fraction(mass, self._denominator)
+        return Fraction(self._eav_cells[j - 1].get(pack_bits(prefix), (0,))[0], self._denominator)
 
     def prefix_flip(self, j: int, prefix: tuple[int, ...]) -> Fraction | None:
         cell = self._eav_cells[j - 1].get(pack_bits(prefix))
-        if cell is None:
-            return None
-        return Fraction(cell[1], cell[0])
+        return None if cell is None else Fraction(cell[1], cell[0])
 
 
 def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
@@ -159,34 +170,26 @@ def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
         raise GuardRailError(f"exact law limited to K <= {MAX_K}, L <= {MAX_L}; got K={K}, L={L}")
     sched = compute_schedule(K, B, L)
     weights, denominator = _lumped_law(K, sched.c_int, L)
-
-    packed = {(pack_bits(yl), pack_bits(ye)): w for (yl, ye), w in weights.items()}
-    eav_cells = prefix_cells(packed, 1, L)
+    eav_cells = prefix_cells(weights, 1, L)
 
     # Weight of eavesdropper hits at a step j after an earlier step with
     # (y_l, y_e) = (1, 0), resp. (0, 1): bits of yl & ~ye, resp. ye & ~yl,
     # below bit j.
-    mixed_10 = 0
-    mixed_01 = 0
-    for (yl, ye), w in packed.items():
-        for j in range(L):
+    mixed = [0, 0]
+    for (yl, ye), w in weights.items():
+        for j in range(1, L):
             if ye >> j & 1:
-                below = (1 << j) - 1
-                if yl & ~ye & below:
-                    mixed_10 += w
-                if ye & ~yl & below:
-                    mixed_01 += w
+                mixed[0] += w if yl & ~ye & ((1 << j) - 1) else 0
+                mixed[1] += w if ye & ~yl & ((1 << j) - 1) else 0
 
     return EnumerationResult(
         schedule=sched,
-        law={pattern: Fraction(w, denominator) for pattern, w in weights.items()},
-        total_mass=Fraction(sum(weights.values()), denominator),
-        main_steps=step_entropies(prefix_cells(packed, 0, L), denominator),
+        main_steps=step_entropies(prefix_cells(weights, 0, L), denominator),
         leakage_steps=step_entropies(eav_cells, denominator),
-        mixed_mass_10=Fraction(mixed_10, denominator),
-        mixed_mass_01=Fraction(mixed_01, denominator),
-        _eav_cells=eav_cells,
+        _weights=weights,
         _denominator=denominator,
+        _eav_cells=eav_cells,
+        _mixed=tuple(mixed),
     )
 
 
@@ -332,22 +335,23 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
     }
     deep_closed = dict.fromkeys(tables, 0.0)
     for (j, k), e in sorted(tables["as_printed"].items()):
-        prefix = (0,) * k + (1,) * (j - 1 - k)
         label = "0" * k + "1" * (j - 1 - k) or "empty"
         informational = j - 1 - k >= 2  # post-detection: two or more trailing ones
-        mass = float(enum.prefix_mass(j, prefix))
+        # int / int rounds correctly, so each value is float() of the Fraction.
+        weight, ones = enum._eav_cells[j - 1].get(((1 << (j - 1 - k)) - 1) << k, (0, 0))
+        mass = weight / enum._denominator
         rows.append(ReportRow(f"prefix_mass_j{j}_p{label}", e.mass, mass, informational))
-        flip = enum.prefix_flip(j, prefix)
-        if flip is not None:
-            rows.append(ReportRow(f"prefix_flip_j{j}_p{label}", e.flip, float(flip)))
+        if weight:
+            flip = ones / weight
+            rows.append(ReportRow(f"prefix_flip_j{j}_p{label}", e.flip, flip))
         if informational and k >= 1:
-            if flip is not None:
-                t3.oracle_value += mass * binary_entropy(float(flip))
+            if weight:
+                t3.oracle_value += mass * binary_entropy(flip)
             # Deep flips are 1/2 and H(1/2) = 1, so each adds its mass.
             for v, entries in tables.items():
                 deep_closed[v] += entries[j, k].mass
-    rows.append(ReportRow("flip_mass_after_joint_10", 0.0, float(enum.mixed_mass_10)))
-    rows.append(ReportRow("flip_mass_after_joint_01", 0.0, float(enum.mixed_mass_01)))
+    for name, mixed in zip(("10", "01"), enum._mixed):
+        rows.append(ReportRow(f"flip_mass_after_joint_{name}", 0.0, mixed / enum._denominator))
 
     for variant in tables:  # the variants coincide for L <= 3; one row is enough
         name = f"leakage_rate[t3={variant}]" if t3.applicable else "leakage_rate"

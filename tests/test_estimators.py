@@ -187,3 +187,19 @@ def test_prefix_stats_rejects_unknown_stream():
     assert stats.prefix_stats("legit", 2) != stats.prefix_stats("eav", 2)
     with pytest.raises(ValueError):
         stats.prefix_stats("main", 3)
+
+
+@pytest.mark.parametrize(
+    "K,B,L,blocks,want",
+    [
+        (32, 8, 5, 2500, ("0x1.ca163530e00f3p-1", "0x1.a394dba11496bp-9",
+                          "0x1.1a02ed96deb69p-1", "0x1.6e56a854f7540p-8")),
+        (256, 16, 12, 1000, ("0x1.ec7fbd04cb2e0p-2", "0x1.6f5ee2f2b9ca1p-9",
+                             "0x1.d89cd7808a81fp-3", "0x1.0faebbf206e7fp-8")),
+    ],
+)
+def test_rate_estimates_pinned_bit_for_bit(K, B, L, blocks, want):
+    # Values and batch-means errors of the per-pattern prefix_cells loop; the
+    # fold that replaced it must not move a single bit.
+    main, leak, _ = estimate_rates(ModelConfig(K=K, L=L, B=B, seed=7, blocks=blocks), workers=1)
+    assert (main.value.hex(), main.stderr.hex(), leak.value.hex(), leak.stderr.hex()) == want

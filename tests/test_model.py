@@ -1,9 +1,17 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bbp_secrecy.bounds import bound_point
-from bbp_secrecy.model import ModelConfig, binary_entropy, compute_schedule
+from bbp_secrecy.model import (
+    ModelConfig,
+    binary_entropy,
+    compute_schedule,
+    prefix_cells,
+    step_entropies,
+)
 
 H_QUARTER = 0.8112781244591328  # -0.25*log2(0.25) - 0.75*log2(0.75)
 
@@ -137,3 +145,46 @@ def test_config_rejects_bad_values(kwargs):
 
 def test_config_accepts_fractional_budget():
     assert ModelConfig(K=2, L=2, B=0.5).B == 0.5
+
+
+def _prefix_cells_per_pattern(law, stream, L):
+    """Reference: every pattern adds its weight to the cell of each of its prefixes."""
+    cells = [{} for _ in range(L)]
+    for pattern, weight in law.items():
+        bits = pattern[stream]
+        for j in range(L):
+            cell = cells[j].setdefault(bits & ((1 << j) - 1), [0, 0])
+            cell[0] += weight
+            if bits >> j & 1:
+                cell[1] += weight
+    return cells
+
+
+@st.composite
+def _laws(draw):
+    """A law over packed pattern pairs of up to 8 bits, its stream and a step count."""
+    width = draw(st.integers(1, 8))
+    weights = draw(
+        st.sampled_from(
+            [
+                st.integers(0, 2**64),
+                st.fractions(min_value=0, max_value=50, max_denominator=10**6),
+            ]
+        )
+    )
+    pattern = st.integers(0, 2**width - 1)
+    law = draw(st.dictionaries(st.tuples(pattern, pattern), weights, max_size=60))
+    return law, draw(st.integers(0, 1)), draw(st.integers(1, width))
+
+
+@given(_laws())
+def test_prefix_cells_fold_matches_per_pattern_loop(case):
+    # The fold must keep each step's first-occurrence key order as well as
+    # its values: step_entropies sums floats in that order.
+    law, stream, L = case
+    cells = prefix_cells(law, stream, L)
+    reference = _prefix_cells_per_pattern(law, stream, L)
+    assert [list(step.items()) for step in cells] == [list(step.items()) for step in reference]
+    total = sum(law.values())
+    if total:
+        assert step_entropies(cells, total) == step_entropies(reference, total)

@@ -27,6 +27,7 @@ from bbp_secrecy.model import (
 from bbp_secrecy.oracle import (
     MAX_K,
     MAX_L,
+    EnumerationResult,
     GuardRailError,
     _lumped_law,
     exact_enumeration,
@@ -106,8 +107,7 @@ def test_integer_chain_runs_past_the_guard_rails(K, B, L, support, main, leak):
     weights, denominator = _lumped_law(K, compute_schedule(K, B, L).c_int, L)
     assert len(weights) == support
     assert sum(weights.values()) == denominator
-    packed = {(pack_bits(yl), pack_bits(ye)): w for (yl, ye), w in weights.items()}
-    rates = [sum(step_entropies(prefix_cells(packed, s, L), denominator)) / L for s in (0, 1)]
+    rates = [sum(step_entropies(prefix_cells(weights, s, L), denominator)) / L for s in (0, 1)]
     if (K, B, L) == (32, 8, 5):
         assert rates[0] == 0.9
     assert rates == pytest.approx([main, leak], abs=1e-12)
@@ -127,6 +127,23 @@ def test_verify_reports_are_frozen():
     exact += [enum.prefix_mass(3, (1, 1)), enum.prefix_flip(3, (1, 1)), enum.prefix_mass(3, (0, 1))]
     assert all(isinstance(value, Fraction) for value in exact)
     assert enum.prefix_mass(3, (0, 1)) == 0 and enum.prefix_flip(3, (0, 1)) is None
+
+
+def test_verify_never_builds_the_fraction_law(monkeypatch):
+    # The report reads the integer cells; the Fraction law is built only on
+    # access, once per result.
+    enum = exact_enumeration(8, 2, 4)
+    assert enum.law is enum.law
+
+    def refuse(self):
+        raise AssertionError("verify_against_closed_forms built the Fraction law")
+
+    monkeypatch.setattr(EnumerationResult, "law", property(refuse))
+    reports = [verify_against_closed_forms(*case) for case in ENUMERABLE_CASES]
+    text = "".join(report.render() + "\n" for report in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "290939ff289beefe0a3f3b4ac4d64ceb068b06b81b78def56905fb63b2e25c5e"
+    )
 
 
 def test_guard_rails_refuse_large_cases_only():
