@@ -27,6 +27,13 @@ for a plain (K, B, L) query.  ``prefix_probability_table`` maps each key
 (j, k) of a prefix 0^k 1^(j-1-k) to its numbers alone, ``PrefixEntry(mass,
 flip)``; a caller that wants the prefix spelled out builds it from the key.
 
+The schedule recursion runs forward, so the first l steps at L are the
+l-step schedule, and no term of a step reads a later one.  ``bound_point``
+therefore keeps the per-step main entropies and the running leakage sum, and
+``BoundPoint.prefix(l)`` reads the bounds of every shorter block l <= L off
+that one pass, bit for bit those of ``bound_point(K, B, l)``; ``sweep`` calls
+``bound_point`` once per B, at its longest L.
+
 Each form makes one pass over the steps, with the T3 factors c_{k+1}^2 / K^2
 (per schedule) and (1/2)^(2m+1) (a constant) precomputed.  Every term keeps the
 formula's float operations and addition order, so the outputs are byte-identical.
@@ -34,7 +41,7 @@ formula's float operations and addition order, so the outputs are byte-identical
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .model import MAX_USES, ExplorationSchedule, binary_entropy, compute_schedule
@@ -50,15 +57,33 @@ _HALF_DOWN = _HALF[::-1]
 class BoundPoint:
     """Closed-form bounds for the (K, B, L) instance ``schedule`` carries.
 
-    ``inner_raw`` is outer minus leakage before flooring; ``inner`` is
-    clamped to be non-negative.
+    ``main_steps`` holds the per-step main entropies and ``leakage_totals``
+    the running leakage sum after each step; ``prefix(l)`` reads the bounds
+    over the first l <= L uses off them.  ``outer``, ``leakage``,
+    ``inner_raw`` and ``inner`` are ``prefix(L)``: ``inner_raw`` is outer
+    minus leakage before flooring; ``inner`` is clamped to be non-negative.
     """
 
     schedule: ExplorationSchedule
-    outer: float
-    leakage: float
-    inner_raw: float
-    inner: float
+    main_steps: tuple[float, ...]
+    leakage_totals: tuple[float, ...]
+    outer: float = field(init=False)
+    leakage: float = field(init=False)
+    inner_raw: float = field(init=False)
+    inner: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        names = ("outer", "leakage", "inner_raw", "inner")
+        for name, value in zip(names, self.prefix(self.schedule.L)):
+            object.__setattr__(self, name, value)
+
+    def prefix(self, l: int) -> tuple[float, float, float, float]:
+        """(outer, leakage, inner_raw, inner) over the first l <= L uses."""
+        # A single use leaves no room for a secret message: the outer bound is 0.
+        outer = sum(self.main_steps[:l]) / l if l > 1 else 0.0
+        leak = self.leakage_totals[l - 1] / l
+        raw = outer - leak
+        return outer, leak, raw, max(0.0, raw)
 
 
 class PrefixEntry(NamedTuple):
@@ -137,12 +162,17 @@ def main_step_entropies(sched: ExplorationSchedule) -> list[float]:
     return out
 
 
-def leakage_rate(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> float:
-    """Per-use equivocation loss to the eavesdropper (bits/channel use)."""
+def _leakage_totals(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> list[float]:
+    """Running equivocation-loss sum after each step: entry l-1 is l times the rate at l uses.
+
+    No term of step j reads a step after j, so the list of an L-step
+    schedule holds every shorter block's total too.
+    """
     sq, div = _deep_factors(sched, t3_variant)
-    K, L = sched.K, sched.L
+    K = sched.K
     K2 = K**2
     sq1 = sq[1:]
+    totals = []
     total = c_prev = rem_prev = 0.0
     for j, (cumr, cj) in enumerate(zip((0.0, *sched.cum), sched.c), 1):
         rem = K - cumr
@@ -152,15 +182,20 @@ def leakage_rate(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> 
         # H(1/2) = 1, so deep prefixes contribute their mass directly.
         for s, h in zip(sq1, _HALF_DOWN[MAX_USES - j + 3 :]):  # half[j-4], ..., half[0]
             total += s * h / div
+        totals.append(total)
         c_prev, rem_prev = cj, rem
-    return total / L
+    return totals
+
+
+def leakage_rate(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> float:
+    """Per-use equivocation loss to the eavesdropper (bits/channel use)."""
+    return _leakage_totals(sched, t3_variant)[-1] / sched.L
 
 
 def bound_point(K: int, B: float, L: int) -> BoundPoint:
-    """Outer, leakage and inner bounds for one instance, from one schedule."""
+    """Outer, leakage and inner bounds for one instance, from one schedule.
+
+    The point also answers ``prefix(l)`` for every shorter block l <= L.
+    """
     sched = compute_schedule(K, B, L)
-    # A single use leaves no room for a secret message: the outer bound is 0.
-    outer = sum(main_step_entropies(sched)) / L if L > 1 else 0.0
-    leak = leakage_rate(sched)
-    raw = outer - leak
-    return BoundPoint(schedule=sched, outer=outer, leakage=leak, inner_raw=raw, inner=max(0.0, raw))
+    return BoundPoint(sched, tuple(main_step_entropies(sched)), tuple(_leakage_totals(sched)))

@@ -98,22 +98,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     n_b = int(min((B_stop - args.B_start) / args.B_step + 1e-9, MAX_SWEEP_ROWS)) + 1
     if n_b * len(L_values) > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep grid exceeds {MAX_SWEEP_ROWS} rows; use a coarser B step")
-    b_grid = [args.B_start + i * args.B_step for i in range(n_b)]
+    # Rounding can carry the last B past B_stop (which may be K itself).
+    b_grid = [min(args.B_start + i * args.B_step, B_stop) for i in range(n_b)]
     for B in (b_grid[0], b_grid[-1]):  # the B range, before any row is built
         check_instance(args.K, B, L_values[0])
-    rows = []
-    for L in L_values:
-        for B in b_grid:
-            pt = bound_point(args.K, B, L)
-            rows.append(
-                f"{args.K},{L},{_fmt_b(B)},{pt.outer!r},{pt.leakage!r},"
-                f"{pt.inner_raw!r},{pt.inner!r}"
-            )
+    # One pass per B at the longest L gives every shorter L: the schedule
+    # recursion runs forward.  Rows are written L-major, as they are listed.
+    rows = {L: [] for L in L_values}
+    for B in b_grid:
+        pt = bound_point(args.K, B, L_values[-1])
+        b_text = _fmt_b(B)
+        for L, col in rows.items():
+            outer, leak, raw, inner = pt.prefix(L)
+            col.append(f"{args.K},{L},{b_text},{outer!r},{leak!r},{raw!r},{inner!r}")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("K,L,B,outer,leakage,inner_raw,inner\n")
-        for row in rows:
-            fh.write(row + "\n")
-    print(f"wrote {len(rows)} rows to {args.out}")
+        for col in rows.values():
+            for row in col:
+                fh.write(row + "\n")
+    print(f"wrote {n_b * len(L_values)} rows to {args.out}")
     return EXIT_OK
 
 

@@ -326,6 +326,26 @@ def test_closed_forms_bit_identical_to_per_term_reference(K, L):
         assert list(table.items()) == list(_ref_table(sched, "as_printed").items())
 
 
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 16, 33, 80, 1024])
+@pytest.mark.parametrize("K", [2, 3, 8, 32, 1024, 2**40])
+def test_prefix_of_longest_block_bit_identical_to_bound_point(K, L):
+    # The schedule recursion runs forward, so the first l steps at L are the
+    # l-step schedule, and each shorter block's bounds are read off one pass.
+    # Every l is checked up to L = 80.  At L = 1024, where bound_point(l)
+    # costs O(l^2) and every l would take about 15 s per K, l runs over
+    # 1..128 and then every 31st value, which ends on l = 1024.
+    lengths = range(1, L + 1) if L < 1024 else sorted({*range(1, 129), *range(1, L + 1, 31)})
+    for B in _budgets(K) if L < 1024 else [K / math.e]:
+        pt = bound_point(K, B, L)
+        for l in lengths:
+            short = bound_point(K, B, l)
+            assert short.schedule.c == pt.schedule.c[:l]
+            assert short.schedule.c_int == pt.schedule.c_int[:l]
+            assert short.schedule.cum == pt.schedule.cum[:l]
+            want = (short.outer, short.leakage, short.inner_raw, short.inner)
+            assert [x.hex() for x in pt.prefix(l)] == [x.hex() for x in want]
+
+
 def test_prefix_table_holds_numbers_only():
     # Each entry is two floats: no per-entry string, so memory grows as the
     # L(L+1)/2 entries do and not as the O(L^3) characters of spelled-out

@@ -171,18 +171,35 @@ def test_sweep_checks_b_range_before_any_row(tmp_path, capsys, monkeypatch):
     assert not out_csv.exists()
 
 
-def test_sweep_calls_traced_bound_point_once_per_row(tmp_path, capsys, monkeypatch):
-    # The benchmark times sweep rows through the cli.bound_point attribute.
+def test_sweep_calls_traced_bound_point_once_per_b(tmp_path, capsys, monkeypatch):
+    # The benchmark times sweep columns through the cli.bound_point attribute:
+    # one call per B, at the longest L, which every shorter L is read from.
     calls = _count_bound_points(monkeypatch)
     out_csv = tmp_path / "g.csv"
     rc, _, _ = run(
-        capsys, "sweep", "--K", "8", "--L", "3,2", "--B-start", "1",
+        capsys, "sweep", "--K", "8", "--L", "3,5,2", "--B-start", "1",
         "--B-stop", "4", "--B-step", "0.5", "--out", str(out_csv),
     )
     assert rc == 0
     rows = [l.split(",")[:3] for l in out_csv.read_text().splitlines()[1:]]
-    assert len(calls) == len(rows) == 14
-    assert [(str(K), str(L), cli._fmt_b(B)) for K, B, L in calls] == [tuple(r) for r in rows]
+    b_grid = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+    assert calls == [(8, B, 5) for B in b_grid]
+    assert rows == [["8", str(L), cli._fmt_b(B)] for L in (2, 3, 5) for B in b_grid]
+
+
+def test_sweep_last_b_clamped_to_stop(tmp_path, capsys):
+    # 0.1 + 29 * 0.1 rounds to 3.0000000000000004, past K = 3.
+    out_csv = tmp_path / "g.csv"
+    rc, out, err = run(
+        capsys, "sweep", "--K", "3", "--L", "2", "--B-start", "0.1", "--B-step", "0.1",
+        "--out", str(out_csv),
+    )
+    assert rc == 0, err
+    assert out.strip() == f"wrote 30 rows to {out_csv}"
+    last = out_csv.read_text().splitlines()[-1].split(",")
+    assert last[:3] == ["3", "2", "3"]
+    pt = bounds.bound_point(3, 3.0, 2)
+    assert last[3:] == [repr(x) for x in (pt.outer, pt.leakage, pt.inner_raw, pt.inner)]
 
 
 def test_sweep_unwritable_path_is_io_error(capsys):
