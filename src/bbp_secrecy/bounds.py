@@ -27,12 +27,9 @@ for a plain (K, B, L) query.  ``prefix_probability_table`` maps each key
 (j, k) of a prefix 0^k 1^(j-1-k) to its numbers alone, ``PrefixEntry(mass,
 flip)``; a caller that wants the prefix spelled out builds it from the key.
 
-The schedule recursion runs forward, so the first l steps at L are the
-l-step schedule, and no term of a step reads a later one.  ``bound_point``
-therefore keeps the per-step main entropies and the running leakage sum, and
-``BoundPoint.prefix(l)`` reads the bounds of every shorter block l <= L off
-that one pass, bit for bit those of ``bound_point(K, B, l)``; ``sweep`` calls
-``bound_point`` once per B, at its longest L.
+The schedule recursion runs forward and no term of a step reads a later one,
+so ``BoundPoint.prefix(l)`` reads the bounds of every block l <= L off one
+``bound_point(K, B, L)``, bit for bit those of ``bound_point(K, B, l)``.
 
 Each form makes one pass over the steps, with the T3 factors c_{k+1}^2 / K^2
 (per schedule) and (1/2)^(2m+1) (a constant) precomputed.  Every term keeps the
@@ -163,11 +160,7 @@ def main_step_entropies(sched: ExplorationSchedule) -> list[float]:
 
 
 def _leakage_totals(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> list[float]:
-    """Running equivocation-loss sum after each step: entry l-1 is l times the rate at l uses.
-
-    No term of step j reads a step after j, so the list of an L-step
-    schedule holds every shorter block's total too.
-    """
+    """Running leakage sum after each step: entry l-1 is l times the rate at l uses."""
     sq, div = _deep_factors(sched, t3_variant)
     K = sched.K
     K2 = K**2
@@ -193,9 +186,6 @@ def leakage_rate(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> 
 
 
 def bound_point(K: int, B: float, L: int) -> BoundPoint:
-    """Outer, leakage and inner bounds for one instance, from one schedule.
-
-    The point also answers ``prefix(l)`` for every shorter block l <= L.
-    """
+    """Outer, leakage and inner bounds for one instance, from one schedule."""
     sched = compute_schedule(K, B, L)
     return BoundPoint(sched, tuple(main_step_entropies(sched)), tuple(_leakage_totals(sched)))

@@ -110,12 +110,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         b_text = _fmt_b(B)
         for L, col in rows.items():
             outer, leak, raw, inner = pt.prefix(L)
-            col.append(f"{args.K},{L},{b_text},{outer!r},{leak!r},{raw!r},{inner!r}")
+            col.append(f"{args.K},{L},{b_text},{outer!r},{leak!r},{raw!r},{inner!r}\n")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("K,L,B,outer,leakage,inner_raw,inner\n")
         for col in rows.values():
-            for row in col:
-                fh.write(row + "\n")
+            fh.writelines(col)
     print(f"wrote {n_b * len(L_values)} rows to {args.out}")
     return EXIT_OK
 
