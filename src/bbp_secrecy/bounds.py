@@ -22,23 +22,24 @@ law.  The default everywhere is the expression as written above.
 
 The closed forms are functions of the schedule c_1..c_L alone: they take an
 ``ExplorationSchedule`` and read K and L from it, so a caller that holds a
-schedule never builds it again.  ``bound_point(K, B, L)`` is the entry point
-for a plain (K, B, L) query.  ``prefix_probability_table`` maps each key
-(j, k) of a prefix 0^k 1^(j-1-k) to its numbers alone, ``PrefixEntry(mass,
-flip)``; a caller that wants the prefix spelled out builds it from the key.
+schedule never builds it again.  ``closed_forms(sched)`` makes one pass that
+yields the per-step main entropies and the running leakage sums, held in a
+``BoundPoint``; ``bound_point(K, B, L)`` is the entry point for a plain
+(K, B, L) query.  ``prefix_probability_table`` maps each key (j, k) of a
+prefix 0^k 1^(j-1-k) to its numbers alone, ``PrefixEntry(mass, flip)``; a
+caller that wants the prefix spelled out builds it from the key.
 
 The schedule recursion runs forward and no term of a step reads a later one,
 so ``BoundPoint.prefix(l)`` reads the bounds of every block l <= L off one
-``bound_point(K, B, L)``, bit for bit those of ``bound_point(K, B, l)``.
+pass, bit for bit those of ``bound_point(K, B, l)``.
 
-Each form makes one pass over the steps, with the T3 factors c_{k+1}^2 / K^2
-(per schedule) and (1/2)^(2m+1) (a constant) precomputed.  Every term keeps the
-formula's float operations and addition order, so the outputs are byte-identical.
+The T3 factors c_{k+1}^2 / K^2 (per schedule) and (1/2)^(2m+1) (a constant)
+are precomputed.  Every term keeps the formula's float operations and
+addition order, so the outputs are byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .model import MAX_USES, ExplorationSchedule, binary_entropy, compute_schedule
@@ -50,8 +51,7 @@ _HALF = [0.5**e for e in range(1, 2 * MAX_USES, 2)]
 _HALF_DOWN = _HALF[::-1]
 
 
-@dataclass(frozen=True)
-class BoundPoint:
+class BoundPoint(NamedTuple):
     """Closed-form bounds for the (K, B, L) instance ``schedule`` carries.
 
     ``main_steps`` holds the per-step main entropies and ``leakage_totals``
@@ -62,25 +62,23 @@ class BoundPoint:
     """
 
     schedule: ExplorationSchedule
-    main_steps: tuple[float, ...]
-    leakage_totals: tuple[float, ...]
-    outer: float = field(init=False)
-    leakage: float = field(init=False)
-    inner_raw: float = field(init=False)
-    inner: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        names = ("outer", "leakage", "inner_raw", "inner")
-        for name, value in zip(names, self.prefix(self.schedule.L)):
-            object.__setattr__(self, name, value)
+    main_steps: list[float]
+    leakage_totals: list[float]
 
     def prefix(self, l: int) -> tuple[float, float, float, float]:
-        """(outer, leakage, inner_raw, inner) over the first l <= L uses."""
+        """(outer, leakage, inner_raw, inner) over the first l uses, 1 <= l <= L."""
+        if not 1 <= l <= self.schedule.L:
+            raise ValueError(f"block length must be in 1..{self.schedule.L}, got {l}")
         # A single use leaves no room for a secret message: the outer bound is 0.
         outer = sum(self.main_steps[:l]) / l if l > 1 else 0.0
         leak = self.leakage_totals[l - 1] / l
         raw = outer - leak
         return outer, leak, raw, max(0.0, raw)
+
+    outer = property(lambda self: self.prefix(self.schedule.L)[0])
+    leakage = property(lambda self: self.prefix(self.schedule.L)[1])
+    inner_raw = property(lambda self: self.prefix(self.schedule.L)[2])
+    inner = property(lambda self: self.prefix(self.schedule.L)[3])
 
 
 class PrefixEntry(NamedTuple):
@@ -144,31 +142,23 @@ def prefix_probability_table(
     return entries
 
 
-def main_step_entropies(sched: ExplorationSchedule) -> list[float]:
-    """Closed-form per-step entropy of the legitimate feedback bit.
+def _closed_steps(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> tuple[list, list]:
+    """Per-step main entropies and the running leakage sum after each step.
 
-    Step j contributes (1 - cum_{j-1}/K) * H(c_j / (K - cum_{j-1})) from
+    Main step j contributes (1 - cum_{j-1}/K) * H(c_j / (K - cum_{j-1})) from
     blocks still exploring plus cum_{j-1}/K from blocks that have already
-    localized the beam (one full bit per use there).
+    localized the beam (one full bit per use there).  Leakage entry l-1 is l
+    times the rate at l uses.
     """
-    K = sched.K
-    out = []
-    for cumr, cj in zip((0.0, *sched.cum), sched.c):
-        rem = K - cumr
-        out.append((rem / K) * binary_entropy(_share(cj, rem)) + cumr / K)
-    return out
-
-
-def _leakage_totals(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> list[float]:
-    """Running leakage sum after each step: entry l-1 is l times the rate at l uses."""
     sq, div = _deep_factors(sched, t3_variant)
     K = sched.K
     K2 = K**2
     sq1 = sq[1:]
-    totals = []
+    main, totals = [], []
     total = c_prev = rem_prev = 0.0
     for j, (cumr, cj) in enumerate(zip((0.0, *sched.cum), sched.c), 1):
         rem = K - cumr
+        main.append((rem / K) * binary_entropy(_share(cj, rem)) + cumr / K)
         total += (rem / K) * binary_entropy(cj / K)
         if j >= 2:
             total += (c_prev * rem_prev / K2) * binary_entropy(0.5 * _share(c_prev, rem_prev))
@@ -177,15 +167,19 @@ def _leakage_totals(sched: ExplorationSchedule, t3_variant: str = "as_printed") 
             total += s * h / div
         totals.append(total)
         c_prev, rem_prev = cj, rem
-    return totals
+    return main, totals
 
 
 def leakage_rate(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> float:
     """Per-use equivocation loss to the eavesdropper (bits/channel use)."""
-    return _leakage_totals(sched, t3_variant)[-1] / sched.L
+    return _closed_steps(sched, t3_variant)[1][-1] / sched.L
+
+
+def closed_forms(sched: ExplorationSchedule) -> BoundPoint:
+    """Outer, leakage and inner bounds of the instance ``sched`` carries, in one pass."""
+    return BoundPoint(sched, *_closed_steps(sched))
 
 
 def bound_point(K: int, B: float, L: int) -> BoundPoint:
-    """Outer, leakage and inner bounds for one instance, from one schedule."""
-    sched = compute_schedule(K, B, L)
-    return BoundPoint(sched, tuple(main_step_entropies(sched)), tuple(_leakage_totals(sched)))
+    """Outer, leakage and inner bounds for one (K, B, L) instance."""
+    return closed_forms(compute_schedule(K, B, L))

@@ -21,7 +21,7 @@ import argparse
 import math
 import sys
 
-from .bounds import bound_point, leakage_rate, main_step_entropies
+from .bounds import bound_point, closed_forms
 from .estimators import estimate_rates, unseen_table_prefixes
 from .model import ModelConfig, check_instance, compute_schedule
 from .oracle import GuardRailError, verify_against_closed_forms
@@ -136,8 +136,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     main_est, leak_est, stats = estimate_rates(
         config, sched, dump_path=args.dump_transcripts
     )
-    closed_main = sum(main_step_entropies(sched)) / args.L
-    closed_leak = leakage_rate(sched)
+    closed = closed_forms(sched)
+    # The main entropy rate, not .outer: the outer bound is 0 at L = 1.
+    closed_main = sum(closed.main_steps) / args.L
+    closed_leak = closed.leakage
 
     def z(est, closed):
         if est.stderr == 0.0:

@@ -69,6 +69,8 @@ class TranscriptStats:
         """
         if which not in ("legit", "eav"):
             raise ValueError(f"stream must be 'legit' or 'eav', got {which!r}")
+        if not 1 <= j <= self.L:
+            raise ValueError(f"step must be in 1..{self.L}, got {j}")
         stream = 0 if which == "legit" else 1
         return prefix_cells(self.pattern_counts, stream, j)[j - 1]
 

@@ -28,8 +28,7 @@ import math
 from dataclasses import dataclass
 
 # Input limits: past 2^53 beams K is not exact as a float (and past about
-# 1.8e308 it overflows one); bound_point at L = 1024 takes 27 ms (146 ms with
-# per-term closed forms) on a 2-core VM.
+# 1.8e308 it overflows one); bound_point at L = 1024 takes 27 ms on a 2-core VM.
 MAX_BEAMS = 2**53
 MAX_USES = 1024
 

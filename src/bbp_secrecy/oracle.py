@@ -32,12 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .bounds import (
-    T3_VARIANTS,
-    leakage_rate,
-    main_step_entropies,
-    prefix_probability_table,
-)
+from .bounds import T3_VARIANTS, closed_forms, leakage_rate, prefix_probability_table
 from .model import ExplorationSchedule, binary_entropy, compute_schedule
 from .model import pack_bits, prefix_cells, step_entropies
 
@@ -145,12 +140,17 @@ class EnumerationResult:
     def leakage(self) -> float:
         return sum(self.leakage_steps) / self.schedule.L
 
+    def _eav_cell(self, j: int, prefix: tuple[int, ...]) -> tuple[int, int]:
+        if not 1 <= j <= self.schedule.L or len(prefix) != j - 1:
+            raise ValueError(f"no {len(prefix)}-bit prefix before step {j} of {self.schedule.L}")
+        return self._eav_cells[j - 1].get(pack_bits(prefix), (0, 0))
+
     def prefix_mass(self, j: int, prefix: tuple[int, ...]) -> Fraction:
-        return Fraction(self._eav_cells[j - 1].get(pack_bits(prefix), (0,))[0], self._denominator)
+        return Fraction(self._eav_cell(j, prefix)[0], self._denominator)
 
     def prefix_flip(self, j: int, prefix: tuple[int, ...]) -> Fraction | None:
-        cell = self._eav_cells[j - 1].get(pack_bits(prefix))
-        return None if cell is None else Fraction(cell[1], cell[0])
+        weight, ones = self._eav_cell(j, prefix)
+        return Fraction(ones, weight) if weight else None
 
 
 def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
@@ -276,16 +276,9 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _degeneracy_notes(sched: ExplorationSchedule, L: int, rows: list[ReportRow]) -> list[str]:
+def _degeneracy_notes(sched: ExplorationSchedule, L: int, step_bad: bool, mass_bad: bool) -> list:
     notes = []
     singleton_dets = [k for k in range(1, L) if sched.c_int[k - 1] < 2 ** (L - k)]
-    mass_bad = any(
-        r.quantity.startswith("prefix_mass") and r.abs_dev > TOL and not r.informational
-        for r in rows
-    )
-    step_bad = any(
-        r.quantity.startswith("main_step") and r.abs_dev > TOL for r in rows
-    )
     if singleton_dets and step_bad:
         notes.append(
             "detection at step(s) %s narrows the probe set to a single beam "
@@ -318,13 +311,15 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
     enum = exact_enumeration(K, B, L)
     sched = enum.schedule
     rows: list[ReportRow] = []
+    step_bad = mass_bad = False
 
-    closed_steps = main_step_entropies(sched)
-    for j, closed in enumerate(closed_steps, start=1):
-        rows.append(ReportRow(f"main_step_entropy_j{j}", closed, enum.main_steps[j - 1]))
+    closed = closed_forms(sched)
+    for j, (step, exact) in enumerate(zip(closed.main_steps, enum.main_steps), start=1):
+        rows.append(ReportRow(f"main_step_entropy_j{j}", step, exact))
+        step_bad = step_bad or rows[-1].abs_dev > TOL
+    outer, leak = closed.prefix(L)[:2]
     if L >= 2:
-        # bound_point(K, B, L).outer, without computing the steps again
-        rows.append(ReportRow("outer_bound", sum(closed_steps) / L, enum.main_rate))
+        rows.append(ReportRow("outer_bound", outer, enum.main_rate))
 
     # The T3 variants differ only on the deep prefixes 0^k 1^(j-1-k), k >= 1,
     # post-detection entries that first occur at j = 4.
@@ -341,6 +336,7 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
         weight, ones = enum._eav_cells[j - 1].get(((1 << (j - 1 - k)) - 1) << k, (0, 0))
         mass = weight / enum._denominator
         rows.append(ReportRow(f"prefix_mass_j{j}_p{label}", e.mass, mass, informational))
+        mass_bad = mass_bad or (not informational and rows[-1].abs_dev > TOL)
         if weight:
             flip = ones / weight
             rows.append(ReportRow(f"prefix_flip_j{j}_p{label}", e.flip, flip))
@@ -355,7 +351,8 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
 
     for variant in tables:  # the variants coincide for L <= 3; one row is enough
         name = f"leakage_rate[t3={variant}]" if t3.applicable else "leakage_rate"
-        leak = leakage_rate(sched, t3_variant=variant)
+        if variant == "state_summed":  # as_printed is the leak read off closed above
+            leak = leakage_rate(sched, t3_variant=variant)
         rows.append(ReportRow(name, leak, enum.leakage, informational=t3.applicable))
 
     if t3.applicable:
@@ -364,7 +361,7 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
         t3.matching = [v for v, d in devs.items() if d <= TOL]
         t3.closest = min(devs, key=devs.get)
 
-    notes = _degeneracy_notes(sched, L, rows)
+    notes = _degeneracy_notes(sched, L, step_bad, mass_bad)
     if not sched.is_integral:
         notes.append(
             f"the schedule is fractional; the exact law uses the floored schedule "

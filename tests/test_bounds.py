@@ -9,8 +9,8 @@ from bbp_secrecy.bounds import (
     T3_VARIANTS,
     PrefixEntry,
     bound_point,
+    closed_forms,
     leakage_rate,
-    main_step_entropies,
     prefix_probability_table,
 )
 from bbp_secrecy.model import binary_entropy, compute_schedule
@@ -57,12 +57,12 @@ def test_inner_floors_at_zero():
 
 
 def test_main_step_entropies_saturate_after_localization():
-    steps = main_step_entropies(compute_schedule(32, 8, 5))
+    steps = closed_forms(compute_schedule(32, 8, 5)).main_steps
     assert steps[0] == pytest.approx(H4, abs=1e-15)
     assert steps[1] == pytest.approx(0.75 * binary_entropy(1 / 3) + 0.25, abs=1e-15)
     assert steps[2:] == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
     assert sum(steps) / len(steps) == pytest.approx(0.95, abs=1e-12)
-    single = main_step_entropies(compute_schedule(4, 1, 1))
+    single = closed_forms(compute_schedule(4, 1, 1)).main_steps
     assert sum(single) / len(single) == pytest.approx(H4, abs=1e-15)
 
 
@@ -174,7 +174,7 @@ def test_bounds_defined_once_schedule_uses_up_all_beams(K, B, L):
     assert sched.cum[-2] == K and sched.c[-1] == 0.0
     pt = bound_point(K, B, L)
     assert 0.0 <= pt.inner <= pt.outer <= 1.0
-    assert main_step_entropies(compute_schedule(K, B, L))[-1] == 1.0
+    assert closed_forms(compute_schedule(K, B, L)).main_steps[-1] == 1.0
     table = prefix_probability_table(compute_schedule(K, B, L))
     assert table[(L, L - 2)].mass == 0.0
 
@@ -299,6 +299,12 @@ def _ref_table(sched, variant):
     return out
 
 
+def _hex(pt):
+    """Every float a BoundPoint holds or derives, as hex."""
+    floats = [*pt.main_steps, *pt.leakage_totals, pt.outer, pt.leakage, pt.inner_raw, pt.inner]
+    return [x.hex() for x in floats]
+
+
 def _budgets(K):
     """Integer, half-integer and irrational-looking budgets B <= K."""
     return sorted({1, K // 2, K, 1.5, K // 2 + 0.5, K / math.e})
@@ -314,7 +320,9 @@ def test_closed_forms_bit_identical_to_per_term_reference(K, L):
     for B in budgets:
         sched = compute_schedule(K, B, L)
         assert sched.c_int == tuple(math.floor(cj) for cj in sched.c)
-        assert main_step_entropies(sched) == _ref_main_step_entropies(sched)
+        closed = closed_forms(sched)
+        assert closed.main_steps == _ref_main_step_entropies(sched)
+        assert _hex(closed) == _hex(bound_point(K, B, L))
         for variant in T3_VARIANTS:
             assert leakage_rate(sched, variant) == _ref_leakage_rate(sched, variant)
             if L < 1024:
@@ -344,6 +352,12 @@ def test_prefix_of_longest_block_bit_identical_to_bound_point(K, L):
             assert short.schedule.cum == pt.schedule.cum[:l]
             want = (short.outer, short.leakage, short.inner_raw, short.inner)
             assert [x.hex() for x in pt.prefix(l)] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("l", [-1, 0, 6])
+def test_prefix_refuses_lengths_outside_the_block(l):
+    with pytest.raises(ValueError, match="block length"):
+        bound_point(32, 8, 5).prefix(l)
 
 
 def test_prefix_table_holds_numbers_only():

@@ -224,6 +224,16 @@ def test_simulate_output_frozen(capsys):
     assert err == ""
 
 
+def test_simulate_single_use_compares_with_the_main_entropy_rate(capsys):
+    # At L = 1 the outer bound is 0, but the main rate is still H(1/4).
+    rc, out, _ = run(
+        capsys, "simulate", "--K", "4", "--B", "1", "--L", "1",
+        "--blocks", "400", "--seed", "3",
+    )
+    assert rc == 0
+    assert " closed=0.8112781245 " in out.splitlines()[1]
+
+
 def test_simulate_builds_no_prefix_table(capsys, monkeypatch):
     # The unseen-prefix count needs only (j, k), not a table of L(L+1)/2
     # entries, so a long block costs no more than its simulation.

@@ -189,6 +189,13 @@ def test_prefix_stats_rejects_unknown_stream():
         stats.prefix_stats("main", 3)
 
 
+@pytest.mark.parametrize("j", [0, 4])
+def test_prefix_stats_rejects_a_step_outside_the_block(j):
+    stats = collect_stats(ModelConfig(K=8, L=3, B=2, seed=1, blocks=20))
+    with pytest.raises(ValueError, match="step"):
+        stats.prefix_stats("eav", j)
+
+
 @pytest.mark.parametrize(
     "K,B,L,blocks,want",
     [

@@ -218,6 +218,16 @@ def test_three_step_case_departs_from_closed_forms():
     assert len(report.notes) == 2
 
 
+@pytest.mark.parametrize("j,prefix", [(3, (1,)), (0, ()), (4, ()), (2, (0, 0)), (5, (0,) * 4)])
+def test_prefix_numbers_refuse_a_prefix_of_another_step(j, prefix):
+    # A prefix before step j has j - 1 bits, and j runs over 1..L.
+    enum = exact_enumeration(8, 2, 3)
+    with pytest.raises(ValueError):
+        enum.prefix_mass(j, prefix)
+    with pytest.raises(ValueError):
+        enum.prefix_flip(j, prefix)
+
+
 def test_deep_term_adjudication_picks_state_summed():
     report = verify_against_closed_forms(8, 2, 4)
     t3 = report.t3
