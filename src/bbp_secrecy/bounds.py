@@ -130,14 +130,12 @@ def prefix_probability_table(
     c_prev = rem_prev = 0.0
     for j, (cumr, cj) in enumerate(zip((0.0, *sched.cum), sched.c), 1):
         rem = K - cumr
-        for k in range(j - 1, -1, -1):
-            if k == j - 1:
-                mass, flip = rem / K, cj / K
-            elif k == j - 2:
-                mass, flip = c_prev * rem_prev / K**2, 0.5 * _share(c_prev, rem_prev)
-            else:
-                mass, flip = sq[k] * _HALF[j - k - 3] / div, 0.5
-            entries[(j, k)] = PrefixEntry(mass, flip)
+        entries[j, j - 1] = PrefixEntry(rem / K, cj / K)  # T1: the all-zero prefix
+        if j >= 2:  # T2: one trailing one
+            entries[j, j - 2] = PrefixEntry(c_prev * rem_prev / K**2,
+                                            0.5 * _share(c_prev, rem_prev))
+        for k in range(j - 3, -1, -1):  # T3: two or more trailing ones
+            entries[j, k] = PrefixEntry(sq[k] * _HALF[j - k - 3] / div, 0.5)
         c_prev, rem_prev = cj, rem
     return entries
 

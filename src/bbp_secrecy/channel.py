@@ -11,10 +11,10 @@ the eavesdropper's feedback, only on the legitimate feedback stream.
 Both receivers see the same channel: output 1 iff the probed set contains
 their beam.  Feedback is noiseless with unit delay.
 
-State: the transmitter carries the set the last probe was drawn from as an
-ascending list of beam labels (the pool), plus that probe's labels.  On an
-exploration step or a post-detection miss the next pool is the old one with
-the probed labels deleted by bisection; on a hit it is the sorted probe.
+State: the transmitter carries the pool the last probe was drawn from
+(``range(1, K + 1)`` before step 1, then an ascending list of labels) and
+that probe's labels.  Exploring or missing after detection deletes the probe
+from the pool by bisection; a hit makes the sorted probe the next pool.
 Draws replay ``randrange(1, K + 1)`` per state and ``sample(pool, q)`` per
 probe on the generator's ``getrandbits`` words, as CPython 3.10-3.13 takes
 them.  The pool always equals the ascending member list of its set, so the
@@ -65,16 +65,16 @@ class BeamSet(NamedTuple):
 class PolicyState(NamedTuple):
     """Transmitter-side state entering step ``step``.
 
-    ``pool`` lists, in ascending order, the beams the previous probe was
-    drawn from (all K beams before step 1) and ``probed`` that probe's
-    beams in draw order.
+    ``pool`` holds, in ascending order, the beams the previous probe was
+    drawn from: ``range(1, K + 1)`` before step 1 and a list after it.
+    ``probed`` holds that probe's beams in draw order.
     ``detection_time`` is the step of the first legitimate hit, if any.
     ``clamp_count`` counts probe sizes clamped to the pool size; the clamp
     is a guard that no schedule reaches, so the count stays 0.  ``pool`` is
     shared between states and never mutated.
     """
 
-    pool: list[int]
+    pool: list[int] | range
     probed: list[int]
     detection_time: int | None
     step: int
@@ -102,7 +102,7 @@ class BlockTranscript:
 
 
 def initial_policy_state(K: int) -> PolicyState:
-    return PolicyState(list(range(1, K + 1)), [], None, 1)
+    return PolicyState(range(1, K + 1), [], None, 1)
 
 
 # SeedSequence constants (M. E. O'Neill, "Developing a seed_seq Alternative", 2015).
@@ -164,9 +164,9 @@ def draw_states(K: int, rng: random.Random) -> tuple[int, int]:
     return 1 + s_l, 1 + s_e
 
 
-def _without(pool: list[int], probed: list[int]) -> list[int]:
+def _without(pool: list[int] | range, probed: list[int]) -> list[int]:
     """Ascending ``pool`` minus ``probed`` (a subset of it), as a new list."""
-    rest = pool[:]
+    rest = list(pool)
     for b in probed:
         del rest[bisect_left(rest, b)]
     return rest
@@ -219,10 +219,8 @@ def jcas_step(
     """
     pool, probed, det, j, clamp = state
 
-    if j == 1:
-        q = schedule.c_int[0]
-    elif det is None and y_prev == 0:
-        # Still exploring: drop the beams probed last step, take fresh ones.
+    if det is None and y_prev == 0:
+        # Still exploring: drop last step's probe (none at step 1), take fresh beams.
         pool = _without(pool, probed)
         q = schedule.c_int[j - 1]
     else:

@@ -26,6 +26,7 @@ import os
 import random
 import statistics
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .channel import block_seeds, simulate_block
@@ -102,13 +103,12 @@ def _collect_range(
     total = config.blocks
     groups = min(GROUPS, total)
     stats = TranscriptStats(
-        L=config.L, blocks=0, group_counts=[Counter() for _ in range(groups)]
+        L=config.L, blocks=stop - start, group_counts=[Counter() for _ in range(groups)]
     )
     budget_violations = 0
     clamps = 0
-    dump = open(dump_path, "w", encoding="utf-8") if dump_path else None
     rng = random.Random()  # seed(word) resets it all: the stream of Random(word)
-    try:
+    with open(dump_path, "w", encoding="utf-8") if dump_path else nullcontext() as dump:
         for i, word in enumerate(block_seeds(config.seed, start, stop), start):
             rng.seed(word)
             t = simulate_block(schedule, rng)
@@ -120,13 +120,9 @@ def _collect_range(
             clamps += t.clamp_count
             if dump is not None:
                 dump.write(t.format_line() + "\n")
-        stats.blocks = stop - start
-        stats.cost_violations = budget_violations
-        stats.clamped_probes = clamps
-        return stats
-    finally:
-        if dump is not None:
-            dump.close()
+    stats.cost_violations = budget_violations
+    stats.clamped_probes = clamps
+    return stats
 
 
 def resolve_workers(requested: int, blocks: int) -> int:

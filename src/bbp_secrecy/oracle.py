@@ -48,8 +48,8 @@ class GuardRailError(ValueError):
     """Instance too large for the exact law (K > MAX_K or L > MAX_L)."""
 
 
-def _lumped_law(K: int, c_int: tuple[int, ...], L: int) -> tuple[dict, int]:
-    """Joint law of packed (y_l, y_e), averaged over uniform receiver states.
+def _lumped_law(K: int, c_int: tuple[int, ...]) -> tuple[dict, int]:
+    """Joint law of packed (y_l, y_e) over len(c_int) uses, averaged over uniform receiver states.
 
     A probe takes q of the n pool beams: c_j while exploring, and after a
     first hit at step det, c_det halved once per step since (at least 1).  It
@@ -70,7 +70,7 @@ def _lumped_law(K: int, c_int: tuple[int, ...], L: int) -> tuple[dict, int]:
         (0, 0, K, 0, IN_POOL): K - 1,
     }
     denominator = K
-    for j in range(1, L + 1):
+    for j in range(1, len(c_int) + 1):
         # Every kept state has n >= 2 with an in-pool eavesdropper (n >= 1
         # otherwise): the zero-weight branches that would reach n = 1 with it
         # in the pool, or n = 0, are skipped below.  A zero denominator would
@@ -169,7 +169,7 @@ def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
     if K > MAX_K or L > MAX_L:
         raise GuardRailError(f"exact law limited to K <= {MAX_K}, L <= {MAX_L}; got K={K}, L={L}")
     sched = compute_schedule(K, B, L)
-    weights, denominator = _lumped_law(K, sched.c_int, L)
+    weights, denominator = _lumped_law(K, sched.c_int)
     eav_cells = prefix_cells(weights, 1, L)
 
     # Weight of eavesdropper hits at a step j after an earlier step with
@@ -276,9 +276,9 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _degeneracy_notes(sched: ExplorationSchedule, L: int, step_bad: bool, mass_bad: bool) -> list:
+def _degeneracy_notes(sched: ExplorationSchedule, step_bad: bool, mass_bad: bool) -> list:
     notes = []
-    singleton_dets = [k for k in range(1, L) if sched.c_int[k - 1] < 2 ** (L - k)]
+    singleton_dets = [k for k in range(1, sched.L) if sched.c_int[k - 1] < 2 ** (sched.L - k)]
     if singleton_dets and step_bad:
         notes.append(
             "detection at step(s) %s narrows the probe set to a single beam "
@@ -293,7 +293,7 @@ def _degeneracy_notes(sched: ExplorationSchedule, L: int, step_bad: bool, mass_b
             "closed-form masses, which assume exploration continues for the "
             "full block"
         )
-    if any(c == 1 for c in sched.c_int[: L - 1]):
+    if any(c == 1 for c in sched.c_int[:-1]):
         notes.append(
             "schedule entries equal to 1 cannot be halved after detection; "
             "closed-form 1/2 factors do not describe those steps"
@@ -361,7 +361,7 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
         t3.matching = [v for v, d in devs.items() if d <= TOL]
         t3.closest = min(devs, key=devs.get)
 
-    notes = _degeneracy_notes(sched, L, step_bad, mass_bad)
+    notes = _degeneracy_notes(sched, step_bad, mass_bad)
     if not sched.is_integral:
         notes.append(
             f"the schedule is fractional; the exact law uses the floored schedule "

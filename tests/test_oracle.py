@@ -104,7 +104,7 @@ def test_lumped_law_equals_probe_path_walk(K, B, L):
 def test_integer_chain_runs_past_the_guard_rails(K, B, L, support, main, leak):
     # The values the C6 Monte Carlo estimates (0.9001 +- 0.0001 and
     # 0.5530 +- 0.0004 at the acceptance point).
-    weights, denominator = _lumped_law(K, compute_schedule(K, B, L).c_int, L)
+    weights, denominator = _lumped_law(K, compute_schedule(K, B, L).c_int)
     assert len(weights) == support
     assert sum(weights.values()) == denominator
     rates = [sum(step_entropies(prefix_cells(weights, s, L), denominator)) / L for s in (0, 1)]
