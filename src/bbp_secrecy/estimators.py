@@ -10,9 +10,11 @@ The block transcripts are reduced to a pair of packed L-bit patterns
 (y_l, y_e), counted in a dictionary; every prefix statistic is derived from
 those pattern counts by ``model.prefix_cells``, the same code the exact
 oracle runs on its law.  Standard errors come from batch means: blocks are
-split into min(``GROUPS``, blocks) contiguous groups, the plug-in rate is
-recomputed per non-empty group, and the standard error is the standard
-deviation of those group rates divided by the square root of their number.
+split into max(1, min(``GROUPS``, blocks // ``MIN_GROUP_BLOCKS``)) contiguous
+groups, the plug-in rate is recomputed per non-empty group, and the standard
+error is the standard deviation of those group rates divided by the square
+root of their number (nan with one group).  A group of one block has plug-in
+rate 0, so every group holds at least ``MIN_GROUP_BLOCKS`` blocks.
 
 Parallelism: blocks are sharded into contiguous ranges; each block seeds
 its generator from (seed, block index), so the merged counts are identical
@@ -34,6 +36,7 @@ from .model import ExplorationSchedule, ModelConfig, compute_schedule
 from .model import pack_bits, prefix_cells, step_entropies
 
 GROUPS = 100
+MIN_GROUP_BLOCKS = 10
 MAX_SIMULATED_BEAMS = 2**20  # every block lists its K-beam pool
 
 
@@ -101,7 +104,7 @@ def _collect_range(
 ) -> TranscriptStats:
     """Simulate blocks [start, stop) and count their feedback patterns."""
     total = config.blocks
-    groups = min(GROUPS, total)
+    groups = max(1, min(GROUPS, total // MIN_GROUP_BLOCKS))
     stats = TranscriptStats(
         L=config.L, blocks=stop - start, group_counts=[Counter() for _ in range(groups)]
     )

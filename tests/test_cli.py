@@ -224,6 +224,15 @@ def test_simulate_output_frozen(capsys):
     assert err == ""
 
 
+def test_simulate_short_run_prints_no_zero_stderr(capsys):
+    # Ten blocks make one batch-means group, so the stderr is unknown (nan);
+    # ten groups of one block each gave stderr=0 and z=+inf.
+    rc, out, _ = run(capsys, "simulate", "--K", "8", "--B", "2", "--L", "3", "--blocks", "10")
+    assert rc == 0
+    assert "stderr=0 " not in out and "z=+inf" not in out
+    assert out.count("stderr=nan ") == 2
+
+
 def test_simulate_single_use_compares_with_the_main_entropy_rate(capsys):
     # At L = 1 the outer bound is 0, but the main rate is still H(1/4).
     rc, out, _ = run(
@@ -352,8 +361,8 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
 
 
 def test_worker_env_var_does_not_change_output(tmp_path, capsys, monkeypatch):
-    # Three workers split at block 133, inside batch-means group 33 (blocks
-    # 132..135); enough CPUs are reported that the worker cap keeps all three.
+    # Three workers split at block 133, inside batch-means group 13 (blocks
+    # 130..139); enough CPUs are reported that the worker cap keeps all three.
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     args = ("simulate", "--K", "8", "--B", "2", "--L", "2", "--seed", "2", "--blocks", "400")
     rc, base, _ = run(capsys, *args)

@@ -9,6 +9,7 @@ from bbp_secrecy import channel, estimators
 from bbp_secrecy.bounds import leakage_rate, prefix_probability_table
 from bbp_secrecy.estimators import (
     GROUPS,
+    MIN_GROUP_BLOCKS,
     TranscriptStats,
     collect_stats,
     estimate_rates,
@@ -130,6 +131,18 @@ def test_stderr_needs_at_least_two_groups():
     main, _, _ = estimate_rates(cfg)
     assert math.isnan(main.stderr)
     assert main.value in (0.0, binary_entropy(1.0))  # one block, degenerate rate
+
+
+@pytest.mark.parametrize("blocks", [10, 19, 20, 150, 999, 1000, 2500])
+def test_batch_means_groups_hold_at_least_min_group_blocks(blocks):
+    # A group of one block has plug-in rate 0, which would make the stderr 0.
+    stats = collect_stats(ModelConfig(K=4, L=1, B=1, seed=3, blocks=blocks))
+    sizes = [sum(g.values()) for g in stats.group_counts]
+    assert sum(sizes) == blocks
+    assert (len(sizes) == 1) == (blocks < 2 * MIN_GROUP_BLOCKS)
+    if len(sizes) >= 2:
+        assert min(sizes) >= MIN_GROUP_BLOCKS
+    assert (len(sizes) == GROUPS) == (blocks >= GROUPS * MIN_GROUP_BLOCKS)
 
 
 def test_transcript_dump_agrees_with_counts(tmp_path):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bbp_secrecy import bounds
+from bbp_secrecy import bounds, estimators, model, oracle
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +35,38 @@ def test_named_closed_forms_exist():
     assert names
     for name in names:
         assert hasattr(bounds, name), name
+
+
+def _one_line(text: str) -> str:
+    return " ".join(text.split())
+
+
+def test_input_limits_match_the_constants():
+    # Each limit is a constant of the package; the sentence must follow it.
+    text = README.read_text(encoding="utf-8")
+    paragraph = _one_line(text.split("Input limits", 1)[1].split("\n\n", 1)[0])
+    limits = [
+        (name, int(base) ** int(power or 1))
+        for name, base, power in re.findall(r"`([KL]) ≤ (\d+)(?:\^(\d+))?`", paragraph)
+    ]
+    assert limits == [
+        ("K", model.MAX_BEAMS),
+        ("L", model.MAX_USES),
+        ("K", estimators.MAX_SIMULATED_BEAMS),
+        ("K", oracle.MAX_K),
+        ("L", oracle.MAX_L),
+    ]
+    assert re.search(r"`K ≤ [\d^]+` for `simulate`.*`L ≤ \d+` for `verify`\.", paragraph)
+
+
+def test_batch_means_sentence_matches_the_constants():
+    text = _one_line(README.read_text(encoding="utf-8"))
+    groups = re.search(r"contiguous groups of at least (\d+) blocks each, at most (\d+) groups", text)
+    assert (int(groups[1]), int(groups[2])) == (estimators.MIN_GROUP_BLOCKS, estimators.GROUPS)
+    one = re.search(r"Below (\d+) blocks there is one group", text)
+    assert int(one[1]) == 2 * estimators.MIN_GROUP_BLOCKS
+    full = re.search(r"from (\d+) blocks on there are (\d+) groups", text)
+    assert (int(full[1]), int(full[2])) == (
+        estimators.GROUPS * estimators.MIN_GROUP_BLOCKS,
+        estimators.GROUPS,
+    )
