@@ -1,11 +1,6 @@
 """Secrecy-rate bounds and simulation for the binary beampointing wiretap channel."""
 
-from .bounds import (
-    BoundPoint,
-    bound_point,
-    leakage_rate,
-    prefix_probability_table,
-)
+from .bounds import BoundPoint, bound_point, prefix_probability_table
 from .channel import BeamSet, BlockTranscript, PolicyState, jcas_step, simulate_block
 from .estimators import (
     RateEstimate,
@@ -41,7 +36,6 @@ __all__ = [
     "estimate_rates",
     "exact_enumeration",
     "jcas_step",
-    "leakage_rate",
     "prefix_probability_table",
     "simulate_block",
     "verify_against_closed_forms",

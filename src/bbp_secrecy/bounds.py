@@ -17,17 +17,19 @@ and the inner bound is the outer bound minus the leakage rate, floored at
 zero.  The T3 coefficient is also provided in a ``state_summed`` variant
 that drops the leading 1/K (i.e. sums the per-state prefix mass over the K
 equiprobable eavesdropper states); ``verify_against_closed_forms`` uses the
-exact-law oracle to decide which variant reproduces the transcript
-law.  The default everywhere is the expression as written above.
+exact-law oracle to decide which variant reproduces the transcript law.
+``closed_forms`` and ``prefix_probability_table`` take it as ``t3_variant``;
+the default everywhere is the expression as written above.
 
 The closed forms are functions of the schedule c_1..c_L alone: they take an
 ``ExplorationSchedule`` and read K and L from it, so a caller that holds a
-schedule never builds it again.  ``closed_forms(sched)`` makes one pass that
-yields the per-step main entropies and the running leakage sums, held in a
-``BoundPoint``; ``bound_point(K, B, L)`` is the entry point for a plain
-(K, B, L) query.  ``prefix_probability_table`` maps each key (j, k) of a
-prefix 0^k 1^(j-1-k) to its numbers alone, ``PrefixEntry(mass, flip)``; a
-caller that wants the prefix spelled out builds it from the key.
+schedule never builds it again.  ``closed_forms(sched, t3_variant)`` is the
+one pass that yields the per-step main entropies and the running leakage
+sums, held in a ``BoundPoint``; ``bound_point(K, B, L)`` is the entry point
+for a plain (K, B, L) query.  ``prefix_probability_table`` maps each key
+(j, k) of a prefix 0^k 1^(j-1-k) to its numbers alone,
+``PrefixEntry(mass, flip)``; a caller that wants the prefix spelled out
+builds it from the key.
 
 The schedule recursion runs forward and no term of a step reads a later one,
 so ``BoundPoint.prefix(l)`` reads the bounds of every block l <= L off one
@@ -140,13 +142,13 @@ def prefix_probability_table(
     return entries
 
 
-def _closed_steps(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> tuple[list, list]:
-    """Per-step main entropies and the running leakage sum after each step.
+def closed_forms(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> BoundPoint:
+    """Closed-form bounds of the instance ``sched`` carries, in one pass over the steps.
 
     Main step j contributes (1 - cum_{j-1}/K) * H(c_j / (K - cum_{j-1})) from
     blocks still exploring plus cum_{j-1}/K from blocks that have already
     localized the beam (one full bit per use there).  Leakage entry l-1 is l
-    times the rate at l uses.
+    times the rate at l uses, with the T3 coefficient ``t3_variant`` names.
     """
     sq, div = _deep_factors(sched, t3_variant)
     K = sched.K
@@ -165,17 +167,7 @@ def _closed_steps(sched: ExplorationSchedule, t3_variant: str = "as_printed") ->
             total += s * h / div
         totals.append(total)
         c_prev, rem_prev = cj, rem
-    return main, totals
-
-
-def leakage_rate(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> float:
-    """Per-use equivocation loss to the eavesdropper (bits/channel use)."""
-    return _closed_steps(sched, t3_variant)[1][-1] / sched.L
-
-
-def closed_forms(sched: ExplorationSchedule) -> BoundPoint:
-    """Outer, leakage and inner bounds of the instance ``sched`` carries, in one pass."""
-    return BoundPoint(sched, *_closed_steps(sched))
+    return BoundPoint(sched, main, totals)
 
 
 def bound_point(K: int, B: float, L: int) -> BoundPoint:

@@ -143,7 +143,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     def z(est, closed):
         if est.stderr == 0.0:
-            return 0.0 if est.value == closed else float("inf")
+            return 0.0 if est.value == closed else math.copysign(math.inf, est.value - closed)
         return (est.value - closed) / est.stderr
 
     print(

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .bounds import T3_VARIANTS, closed_forms, leakage_rate, prefix_probability_table
+from .bounds import T3_VARIANTS, closed_forms, prefix_probability_table
 from .model import ExplorationSchedule, binary_entropy, compute_schedule
 from .model import pack_bits, prefix_cells, step_entropies
 
@@ -313,21 +313,19 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
     rows: list[ReportRow] = []
     step_bad = mass_bad = False
 
-    closed = closed_forms(sched)
-    for j, (step, exact) in enumerate(zip(closed.main_steps, enum.main_steps), start=1):
-        rows.append(ReportRow(f"main_step_entropy_j{j}", step, exact))
-        step_bad = step_bad or rows[-1].abs_dev > TOL
-    outer, leak = closed.prefix(L)[:2]
-    if L >= 2:
-        rows.append(ReportRow("outer_bound", outer, enum.main_rate))
-
     # The T3 variants differ only on the deep prefixes 0^k 1^(j-1-k), k >= 1,
     # post-detection entries that first occur at j = 4.
     t3 = T3Adjudication(applicable=L >= 4)
-    tables = {
-        v: prefix_probability_table(sched, t3_variant=v)
-        for v in (T3_VARIANTS if t3.applicable else T3_VARIANTS[:1])
-    }
+    variants = T3_VARIANTS if t3.applicable else T3_VARIANTS[:1]
+    closed = {v: closed_forms(sched, v) for v in variants}
+    tables = {v: prefix_probability_table(sched, t3_variant=v) for v in variants}
+    for j, (step, exact) in enumerate(zip(closed["as_printed"].main_steps, enum.main_steps), 1):
+        rows.append(ReportRow(f"main_step_entropy_j{j}", step, exact))
+        step_bad = step_bad or rows[-1].abs_dev > TOL
+    ends = {v: pt.prefix(L)[:2] for v, pt in closed.items()}  # (outer, leakage) at L uses
+    if L >= 2:
+        rows.append(ReportRow("outer_bound", ends["as_printed"][0], enum.main_rate))
+
     deep_closed = dict.fromkeys(tables, 0.0)
     for (j, k), e in sorted(tables["as_printed"].items()):
         label = "0" * k + "1" * (j - 1 - k) or "empty"
@@ -349,10 +347,8 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
     for name, mixed in zip(("10", "01"), enum._mixed):
         rows.append(ReportRow(f"flip_mass_after_joint_{name}", 0.0, mixed / enum._denominator))
 
-    for variant in tables:  # the variants coincide for L <= 3; one row is enough
+    for variant, (_, leak) in ends.items():  # the variants coincide for L <= 3
         name = f"leakage_rate[t3={variant}]" if t3.applicable else "leakage_rate"
-        if variant == "state_summed":  # as_printed is the leak read off closed above
-            leak = leakage_rate(sched, t3_variant=variant)
         rows.append(ReportRow(name, leak, enum.leakage, informational=t3.applicable))
 
     if t3.applicable:

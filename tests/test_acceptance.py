@@ -13,7 +13,7 @@ import time
 import pytest
 
 from bbp_secrecy import cli
-from bbp_secrecy.bounds import bound_point, leakage_rate, prefix_probability_table
+from bbp_secrecy.bounds import bound_point, closed_forms, prefix_probability_table
 from bbp_secrecy.channel import block_seeds, simulate_block
 from bbp_secrecy.estimators import estimate_rates
 from bbp_secrecy.model import ModelConfig, compute_schedule
@@ -48,7 +48,7 @@ def test_c1_single_use_degeneracy():
 def test_c2_hand_point():
     t0 = time.perf_counter()
     outer = bound_point(32, 8, 2).outer
-    leak = leakage_rate(compute_schedule(32, 8, 2))
+    leak = closed_forms(compute_schedule(32, 8, 2)).leakage
     inner = bound_point(32, 8, 2).inner
     ok = (
         abs(outer - 0.875) <= 1e-12
@@ -93,7 +93,7 @@ def test_c3_outer_saturates(L):
 
 
 def test_c4_leakage_decreases_with_block_length():
-    vals = [leakage_rate(compute_schedule(32, 8, L)) for L in LS]
+    vals = [closed_forms(compute_schedule(32, 8, L)).leakage for L in LS]
     ok = all(b < a for a, b in zip(vals, vals[1:]))
     _report("C4 leakage strictly decreasing in L", ok)
 
@@ -153,7 +153,7 @@ def test_c6_main_rate_within_three_sigma(mc_run):
 
 def test_c6_leakage_within_three_sigma(mc_run):
     leak_est = mc_run[1]
-    closed = leakage_rate(compute_schedule(32, 8, 5))
+    closed = closed_forms(compute_schedule(32, 8, 5)).leakage
     z = (leak_est.value - closed) / leak_est.stderr
     _report("C6 leakage within 3 sigma", abs(z) <= 3, f"z={z:+.1f}")
 

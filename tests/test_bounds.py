@@ -10,7 +10,6 @@ from bbp_secrecy.bounds import (
     PrefixEntry,
     bound_point,
     closed_forms,
-    leakage_rate,
     prefix_probability_table,
 )
 from bbp_secrecy.model import binary_entropy, compute_schedule
@@ -37,9 +36,13 @@ def test_outer_and_inner_vanish_for_single_use():
 
 
 def test_leakage_hand_points():
-    assert leakage_rate(compute_schedule(32, 8, 2)) == pytest.approx(LEAKAGE_32_8_2, abs=1e-12)
-    assert leakage_rate(compute_schedule(32, 8, 1)) == pytest.approx(H4, abs=1e-15)
-    assert leakage_rate(compute_schedule(32, 8, 5)) == pytest.approx(LEAKAGE_32_8_5, abs=1e-12)
+    assert closed_forms(compute_schedule(32, 8, 2)).leakage == pytest.approx(
+        LEAKAGE_32_8_2, abs=1e-12
+    )
+    assert closed_forms(compute_schedule(32, 8, 1)).leakage == pytest.approx(H4, abs=1e-15)
+    assert closed_forms(compute_schedule(32, 8, 5)).leakage == pytest.approx(
+        LEAKAGE_32_8_5, abs=1e-12
+    )
 
 
 def test_inner_is_outer_minus_leakage():
@@ -95,7 +98,7 @@ def test_outer_saturates_beyond_half_k(L):
 
 
 def test_leakage_strictly_decreasing_in_block_length():
-    values = [leakage_rate(compute_schedule(32, 8, L)) for L in (2, 5, 8, 12)]
+    values = [closed_forms(compute_schedule(32, 8, L)).leakage for L in (2, 5, 8, 12)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -130,8 +133,8 @@ def test_outer_scale_invariant(K, B, L, m):
 )
 def test_leakage_scale_invariant_without_deep_terms(K, B, L, m):
     B = min(B, K)
-    assert leakage_rate(compute_schedule(K, B, L)) == pytest.approx(
-        leakage_rate(compute_schedule(m * K, m * B, L)), abs=1e-12
+    assert closed_forms(compute_schedule(K, B, L)).leakage == pytest.approx(
+        closed_forms(compute_schedule(m * K, m * B, L)).leakage, abs=1e-12
     )
 
 
@@ -143,8 +146,8 @@ def test_leakage_scale_invariant_without_deep_terms(K, B, L, m):
 )
 def test_state_summed_leakage_scale_invariant(K, B, L, m):
     B = min(B, K)
-    a = leakage_rate(compute_schedule(K, B, L), t3_variant="state_summed")
-    b = leakage_rate(compute_schedule(m * K, m * B, L), t3_variant="state_summed")
+    a = closed_forms(compute_schedule(K, B, L), t3_variant="state_summed").leakage
+    b = closed_forms(compute_schedule(m * K, m * B, L), t3_variant="state_summed").leakage
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -152,9 +155,9 @@ def test_printed_deep_coefficient_breaks_scale_invariance():
     # The bare 1/K in the printed deep-prefix coefficient is the one term
     # that is not a pure ratio, so doubling (K, B) shifts the leakage.
     small, large = compute_schedule(2, 1, 4), compute_schedule(4, 2, 4)
-    assert abs(leakage_rate(small) - leakage_rate(large)) > 1e-4
-    a = leakage_rate(small, t3_variant="state_summed")
-    b = leakage_rate(large, t3_variant="state_summed")
+    assert abs(closed_forms(small).leakage - closed_forms(large).leakage) > 1e-4
+    a = closed_forms(small, t3_variant="state_summed").leakage
+    b = closed_forms(large, t3_variant="state_summed").leakage
     assert a == b
 
 
@@ -191,7 +194,7 @@ def test_leakage_matches_table_sum(K, B, L, variant):
         if not (j - 1 - k >= 2 and k == 0)
     )
     assert total / L == pytest.approx(
-        leakage_rate(compute_schedule(K, B, L), t3_variant=variant), abs=1e-12
+        closed_forms(compute_schedule(K, B, L), t3_variant=variant).leakage, abs=1e-12
     )
 
 
@@ -232,7 +235,7 @@ def test_table_layout_covers_monotone_prefixes():
 
 def test_unknown_t3_variant_rejected():
     with pytest.raises(ValueError):
-        leakage_rate(compute_schedule(8, 2, 4), t3_variant="other")
+        closed_forms(compute_schedule(8, 2, 4), t3_variant="other")
     with pytest.raises(ValueError):
         prefix_probability_table(compute_schedule(8, 2, 4), t3_variant="other")
 
@@ -266,7 +269,7 @@ def _ref_main_step_entropies(sched):
     return out
 
 
-def _ref_leakage_rate(sched, variant):
+def _ref_leakage(sched, variant):
     K, L = sched.K, sched.L
     total = 0.0
     for j in range(1, L + 1):
@@ -324,7 +327,7 @@ def test_closed_forms_bit_identical_to_per_term_reference(K, L):
         assert closed.main_steps == _ref_main_step_entropies(sched)
         assert _hex(closed) == _hex(bound_point(K, B, L))
         for variant in T3_VARIANTS:
-            assert leakage_rate(sched, variant) == _ref_leakage_rate(sched, variant)
+            assert closed_forms(sched, variant).leakage == _ref_leakage(sched, variant)
             if L < 1024:
                 table = prefix_probability_table(sched, t3_variant=variant)
                 assert list(table.items()) == list(_ref_table(sched, variant).items())
@@ -378,5 +381,5 @@ def test_prefix_table_holds_numbers_only():
 
 def test_leakage_bits_pinned_at_longest_block():
     sched = compute_schedule(1024, 3.5, 1024)
-    assert leakage_rate(sched, "as_printed").hex() == "0x1.364f593bcba05p-8"
-    assert leakage_rate(sched, "state_summed").hex() == "0x1.36746c2da0f57p-8"
+    assert closed_forms(sched, "as_printed").leakage.hex() == "0x1.364f593bcba05p-8"
+    assert closed_forms(sched, "state_summed").leakage.hex() == "0x1.36746c2da0f57p-8"

@@ -231,6 +231,23 @@ def test_simulate_short_run_prints_no_zero_stderr(capsys):
     assert rc == 0
     assert "stderr=0 " not in out and "z=+inf" not in out
     assert out.count("stderr=nan ") == 2
+    assert out.count("z=+nan") == 2
+
+
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        (["--K", "2", "--B", "1", "--L", "1", "--blocks", "20", "--seed", "7"], [1]),
+        (["--K", "2", "--B", "0.5", "--L", "3", "--blocks", "20"], [1, 2]),
+    ],
+)
+def test_simulate_zero_stderr_z_takes_the_sign_of_the_gap(capsys, argv, lines):
+    # Each of these estimates has stderr 0 and lies below its closed value.
+    rc, out, _ = run(capsys, "simulate", *argv)
+    assert rc == 0
+    for i in lines:
+        line = out.splitlines()[i]
+        assert " stderr=0 " in line and line.endswith(" z=-inf"), line
 
 
 def test_simulate_single_use_compares_with_the_main_entropy_rate(capsys):

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from bbp_secrecy import channel, estimators
-from bbp_secrecy.bounds import leakage_rate, prefix_probability_table
+from bbp_secrecy.bounds import closed_forms, prefix_probability_table
 from bbp_secrecy.estimators import (
     GROUPS,
     MIN_GROUP_BLOCKS,
@@ -123,7 +123,7 @@ def test_two_step_rates_match_closed_forms():
     cfg = ModelConfig(K=32, L=2, B=8, seed=5, blocks=40_000)
     main, leak, _ = estimate_rates(cfg)
     assert abs(main.value - 0.875) < 5 * main.stderr
-    assert abs(leak.value - leakage_rate(compute_schedule(32, 8, 2))) < 5 * leak.stderr
+    assert abs(leak.value - closed_forms(compute_schedule(32, 8, 2)).leakage) < 5 * leak.stderr
 
 
 def test_stderr_needs_at_least_two_groups():

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from bbp_secrecy import oracle
 from bbp_secrecy.estimators import TranscriptStats, _plug_in_rate, collect_stats
 from bbp_secrecy.model import (
     ModelConfig,
@@ -240,6 +241,26 @@ def test_deep_term_adjudication_picks_state_summed():
 
     shallow = verify_against_closed_forms(8, 2, 2)
     assert not shallow.t3.applicable
+
+
+@pytest.mark.parametrize("L,passes", [(4, 2), (3, 1)])
+def test_verify_makes_one_closed_form_pass_per_t3_variant(monkeypatch, L, passes):
+    # The variants differ only from L = 4 on; below that one pass serves.
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(oracle, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("closed_forms", "prefix_probability_table"):
+        monkeypatch.setattr(oracle, name, counted(name))
+    verify_against_closed_forms(8, 2, L)
+    assert calls == {"closed_forms": passes, "prefix_probability_table": passes}
 
 
 def test_report_render_has_machine_readable_lines():

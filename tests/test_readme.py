@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import bbp_secrecy
 from bbp_secrecy import bounds, estimators, model, oracle
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -35,6 +36,14 @@ def test_named_closed_forms_exist():
     assert names
     for name in names:
         assert hasattr(bounds, name), name
+
+
+def test_package_exports_exist_once():
+    # Importing the package does not resolve __all__, so a stale name there
+    # would only fail on a star import.
+    assert len(set(bbp_secrecy.__all__)) == len(bbp_secrecy.__all__)
+    for name in bbp_secrecy.__all__:
+        assert hasattr(bbp_secrecy, name), name
 
 
 def _one_line(text: str) -> str:
