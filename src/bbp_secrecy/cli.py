@@ -102,15 +102,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     b_grid = [min(args.B_start + i * args.B_step, B_stop) for i in range(n_b)]
     for B in (b_grid[0], b_grid[-1]):  # the B range, before any row is built
         check_instance(args.K, B, L_values[0])
-    # One pass per B at the longest L gives every shorter L: the schedule
-    # recursion runs forward.  Rows are written L-major, as they are listed.
+    # One pass per effective budget min(B, K/2) at the longest L gives every
+    # row of that budget: c_j <= K/2, so every B >= K/2 has the same schedule,
+    # and the recursion runs forward, so every shorter L is a prefix of the
+    # pass.  Rows are written L-major, as they are listed.
     rows = {L: [] for L in L_values}
+    tails = {}  # effective budget -> "outer,leakage,inner_raw,inner\n" per L
     for B in b_grid:
-        pt = bound_point(args.K, B, L_values[-1])
+        b_eff = min(B, args.K / 2)
+        if b_eff not in tails:
+            pt = bound_point(args.K, b_eff, L_values[-1])
+            tails[b_eff] = ["{!r},{!r},{!r},{!r}\n".format(*pt.prefix(L)) for L in L_values]
         b_text = _fmt_b(B)
-        for L, col in rows.items():
-            outer, leak, raw, inner = pt.prefix(L)
-            col.append(f"{args.K},{L},{b_text},{outer!r},{leak!r},{raw!r},{inner!r}\n")
+        for (L, col), tail in zip(rows.items(), tails[b_eff]):
+            col.append(f"{args.K},{L},{b_text},{tail}")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("K,L,B,outer,leakage,inner_raw,inner\n")
         for col in rows.values():

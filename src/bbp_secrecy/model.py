@@ -12,6 +12,9 @@ step while the legitimate beam is still unknown:
     c_1 = min(K / 2, B)
     c_j = min((K - sum_{k<j} c_k) / 2, B)
 
+No entry exceeds K/2, so the budget binds only below K/2: every B >= K/2
+gives the schedule of B = K/2, bit for bit (c_1 = K/2, c_j <= K/4 after).
+
 The schedule is real-valued; ``c_int`` floors each entry to the subset size
 actually probed by the simulator.  ``check_instance`` holds the one rule for
 which (K, B, L) are accepted.

@@ -16,8 +16,8 @@ from bbp_secrecy import cli
 from bbp_secrecy.bounds import bound_point, closed_forms, prefix_probability_table
 from bbp_secrecy.channel import block_seeds, simulate_block
 from bbp_secrecy.estimators import estimate_rates
-from bbp_secrecy.model import ModelConfig, compute_schedule
-from bbp_secrecy.oracle import verify_against_closed_forms
+from bbp_secrecy.model import ModelConfig, compute_schedule, prefix_cells, step_entropies
+from bbp_secrecy.oracle import _lumped_law, verify_against_closed_forms
 
 LS = (2, 5, 8, 12)
 
@@ -128,7 +128,8 @@ def test_c5_deep_term_adjudication():
 # --- criterion 6: Monte Carlo vs closed forms at (32, 8, 5) ------------------
 
 MC_CONFIG = ModelConfig(K=32, L=5, B=8, seed=7, blocks=10**6)
-MC_TABLE = prefix_probability_table(compute_schedule(32, 8, 5))
+MC_SCHEDULE = compute_schedule(32, 8, 5)
+MC_TABLE = prefix_probability_table(MC_SCHEDULE)
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +178,80 @@ def test_c6_prefix_flip_within_three_sigma(mc_run, j, prefix, closed):
         f"C6 flip after '{prefix or '-'}' (step {j}) within 3 sigma",
         abs(z) <= 3,
         f"z={z:+.1f} n={n}",
+    )
+
+
+# --- criterion 6, exact: the simulator against the exact law at (32, 8, 5) --
+#
+# The lumped chain gives the exact joint law of the C6 policy (136 patterns,
+# integer weights over one denominator).  The simulated blocks follow it, so
+# each C6 failure above is the distance between that law and the closed forms;
+# the exact twins state that distance without sampling error.
+
+C6_LAW, C6_DENOMINATOR = _lumped_law(32, MC_SCHEDULE.c_int)
+G_TEST_LEVEL = 1e-3  # fixed before the test was first run
+
+
+def _chi2_upper_tail(x: float, dof: int) -> float:
+    """P(chi^2_dof >= x) by the Wilson-Hilferty cube-root normal approximation."""
+    v = 2 / (9 * dof)
+    z = ((x / dof) ** (1 / 3) - (1 - v)) / math.sqrt(v)
+    return 0.5 * math.erfc(z / math.sqrt(2))
+
+
+def test_c6_simulated_patterns_follow_the_exact_law(mc_run):
+    # G-test of the fixture's (y_l, y_e) pattern counts, cells with fewer
+    # than 5 expected blocks pooled into one.
+    counts = mc_run[2].pattern_counts
+    n = sum(counts.values())
+    assert set(counts) <= set(C6_LAW), "a simulated pattern has exact probability 0"
+    cells, pooled = [], [0, 0.0]
+    for pattern, weight in C6_LAW.items():
+        seen, expected = counts.get(pattern, 0), n * weight / C6_DENOMINATOR
+        if expected < 5:
+            pooled[0] += seen
+            pooled[1] += expected
+        else:
+            cells.append((seen, expected))
+    if pooled[1]:
+        cells.append(pooled)
+    g = 2 * sum(seen * math.log(seen / expected) for seen, expected in cells if seen)
+    dof = len(cells) - 1
+    p = _chi2_upper_tail(g, dof)
+    _report(
+        f"C6 simulated patterns follow the exact law (G-test, p >= {G_TEST_LEVEL:g})",
+        p >= G_TEST_LEVEL,
+        f"G={g:.1f} dof={dof} p={p:.3f}",
+    )
+
+
+def _c6_exact_steps(stream: int) -> list[float]:
+    return step_entropies(prefix_cells(C6_LAW, stream, MC_CONFIG.L), C6_DENOMINATOR)
+
+
+def test_c6_exact_main_rate_against_closed():
+    # Twin of test_c6_main_rate_within_three_sigma.  The step entropies agree
+    # through step 4; at step 5 the exact one is 0.75 bits, the closed one 1.
+    exact, closed = _c6_exact_steps(0), closed_forms(MC_SCHEDULE).main_steps
+    assert exact[:4] == pytest.approx(closed[:4], abs=1e-15)
+    assert (exact[4], closed[4]) == (0.75, 1.0)
+    rate, outer = sum(exact) / 5, bound_point(32, 8, 5).outer
+    _report(
+        "C6 exact main rate 0.9 against the closed 0.95",
+        rate == pytest.approx(0.9, abs=1e-15) and outer == pytest.approx(0.95, abs=1e-15),
+        f"exact={rate!r} closed={outer!r}",
+    )
+
+
+def test_c6_exact_leakage_against_closed():
+    # Twin of test_c6_leakage_within_three_sigma.
+    exact = sum(_c6_exact_steps(1)) / 5
+    closed = closed_forms(MC_SCHEDULE).leakage
+    _report(
+        "C6 exact leakage 0.5532697916 against the closed 0.4780315873",
+        exact == pytest.approx(0.5532697916, abs=1e-10)
+        and closed == pytest.approx(0.4780315873, abs=1e-10),
+        f"exact={exact!r} closed={closed!r}",
     )
 
 

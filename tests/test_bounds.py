@@ -90,11 +90,27 @@ def test_inner_dips_in_budget_for_two_use_blocks():
     assert inner[12] > inner[11]
 
 
-@pytest.mark.parametrize("L", [2, 5, 8, 12])
+@pytest.mark.parametrize("L", [1, 2, 5, 8, 12, 32, 1024])
 def test_outer_saturates_beyond_half_k(L):
-    ref = bound_point(32, 16, L).outer
-    for B in range(17, 33):
-        assert bound_point(32, B, L).outer == ref
+    # c_1 = min(K/2, B) and every later c_j <= K/4, so each B >= K/2 has the
+    # schedule of B = K/2, and with it every bound, bit for bit: sweep
+    # evaluates them once.  Odd K makes K/2 fractional.  Every integer B is
+    # checked up to K = 40; at L = 1024, where a pass costs O(L^2), K takes
+    # three values.
+    Ks = [*range(2, 41), 1024, 1025] if L < 1024 else [3, 1024, 1025]
+    for K in Ks:
+        half = K / 2
+        budgets = {half + 1 / 3, K}
+        if L < 1024:
+            budgets |= {half + 0.25, K - 0.5}
+        if K <= 40:
+            budgets |= set(range(math.ceil(half), K))
+        for variant in T3_VARIANTS:
+            ref = closed_forms(compute_schedule(K, half, L), variant)
+            for B in sorted(b for b in budgets if half <= b <= K):
+                pt = closed_forms(compute_schedule(K, B, L), variant)
+                assert [x.hex() for x in pt.schedule.c] == [x.hex() for x in ref.schedule.c]
+                assert _hex(pt) == _hex(ref), (K, B, L, variant)
 
 
 def test_leakage_strictly_decreasing_in_block_length():

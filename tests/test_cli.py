@@ -173,7 +173,8 @@ def test_sweep_checks_b_range_before_any_row(tmp_path, capsys, monkeypatch):
 
 def test_sweep_calls_traced_bound_point_once_per_b(tmp_path, capsys, monkeypatch):
     # The benchmark times sweep columns through the cli.bound_point attribute:
-    # one call per B, at the longest L, which every shorter L is read from.
+    # one call per B up to K/2, at the longest L, which every shorter L is
+    # read from.
     calls = _count_bound_points(monkeypatch)
     out_csv = tmp_path / "g.csv"
     rc, _, _ = run(
@@ -185,6 +186,41 @@ def test_sweep_calls_traced_bound_point_once_per_b(tmp_path, capsys, monkeypatch
     b_grid = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
     assert calls == [(8, B, 5) for B in b_grid]
     assert rows == [["8", str(L), cli._fmt_b(B)] for L in (2, 3, 5) for B in b_grid]
+
+
+SATURATING_SWEEPS = [
+    # (K, L values, B grid, flags): each grid crosses K/2, at 16.5 and 3.5.
+    (33, (2, 5, 8, 12), [0.25 + i * 0.75 for i in range(44)],
+     ("--K", "33", "--B-start", "0.25", "--B-step", "0.75")),
+    (7, (1, 3, 9), [1 + i * 0.5 for i in range(13)],
+     ("--K", "7", "--B-step", "0.5", "--L", "1,3,9")),
+]
+
+
+@pytest.mark.parametrize("K,Ls,b_grid,flags", SATURATING_SWEEPS, ids=["K33", "K7"])
+def test_sweep_rows_equal_bound_point_at_each_row(tmp_path, capsys, K, Ls, b_grid, flags):
+    out_csv = tmp_path / "g.csv"
+    rc, _, err = run(capsys, "sweep", *flags, "--out", str(out_csv))
+    assert rc == 0, err
+    want = ["K,L,B,outer,leakage,inner_raw,inner"]
+    for L in Ls:
+        for B in b_grid:
+            fields = [K, L, cli._fmt_b(B), *map(repr, bounds.bound_point(K, B, L).prefix(L))]
+            want.append(",".join(map(str, fields)))
+    assert out_csv.read_text().splitlines() == want
+
+
+@pytest.mark.parametrize("K,Ls,b_grid,flags", SATURATING_SWEEPS, ids=["K33", "K7"])
+def test_sweep_evaluates_each_effective_budget_once(
+    tmp_path, capsys, monkeypatch, K, Ls, b_grid, flags
+):
+    # c_j <= K/2, so every B >= K/2 shares the pass at B = K/2.
+    calls = _count_bound_points(monkeypatch)
+    rc, _, err = run(capsys, "sweep", *flags, "--out", str(tmp_path / "g.csv"))
+    assert rc == 0, err
+    budgets = list(dict.fromkeys(min(B, K / 2) for B in b_grid))
+    assert len(budgets) < len(b_grid)
+    assert calls == [(K, b, max(Ls)) for b in budgets]
 
 
 def test_sweep_last_b_clamped_to_stop(tmp_path, capsys):

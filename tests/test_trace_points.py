@@ -49,5 +49,6 @@ def test_traced_sweep_records_every_bound_grid_layer(spans, tmp_path, capsys):
     assert capsys.readouterr().out == f"wrote 8 rows to {out_csv}\n"
     calls = {name: totals["calls"] for name, totals in tracer.summary().items()}
     assert calls["cli.main"] == 1
-    assert calls["bounds.bound_point"] == 4
+    # B = 1, 5, 9, 13: 9 and 13 are past K/2 = 8 and share its pass.
+    assert calls["bounds.bound_point"] == 3
     assert calls["model.compute_schedule"] >= 1
