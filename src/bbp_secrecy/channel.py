@@ -11,15 +11,15 @@ the eavesdropper's feedback, only on the legitimate feedback stream.
 Both receivers see the same channel: output 1 iff the probed set contains
 their beam.  Feedback is noiseless with unit delay.
 
-State: the transmitter carries the pool the last probe was drawn from
-(``range(1, K + 1)`` before step 1, then an ascending list of labels) and
-that probe's labels.  Exploring or missing after detection deletes the probe
-from the pool by bisection; a hit makes the sorted probe the next pool.
-Draws replay ``randrange(1, K + 1)`` per state and ``sample(pool, q)`` per
-probe on the generator's ``getrandbits`` words, as CPython 3.10-3.13 takes
-them.  The pool always equals the ascending member list of its set, so the
-draws, and with them every transcript, depend only on the set and the
-generator; no step walks all K bits of a mask to list members.
+State: the transmitter carries the beams a miss leaves (``range(1, K + 1)``
+before step 1, then the ascending rest of the last probe's pool, which the
+sampler returns with the probe) and that probe's labels.  Exploring or
+missing after detection draws from that rest; a hit makes the sorted probe
+the next pool.  Draws replay ``randrange(1, K + 1)`` per state and
+``sample(pool, q)`` per probe on the generator's ``getrandbits`` words, as
+CPython 3.10-3.13 takes them.  Every pool is the ascending member list of
+its set, so the draws, and with them every transcript, depend only on the
+set and the generator; no step walks all K bits of a mask to list members.
 
 Determinism: block i seeds its generator with word i of the SeedSequence
 stream of ``seed`` (``block_seeds``), so results do not depend on how
@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, NamedTuple
 
-from .model import ExplorationSchedule
+from .model import ExplorationSchedule, pack_bits
 
 
 class BeamSet(NamedTuple):
@@ -65,9 +64,9 @@ class BeamSet(NamedTuple):
 class PolicyState(NamedTuple):
     """Transmitter-side state entering step ``step``.
 
-    ``pool`` holds, in ascending order, the beams the previous probe was
-    drawn from: ``range(1, K + 1)`` before step 1 and a list after it.
-    ``probed`` holds that probe's beams in draw order.
+    ``pool`` holds, in ascending order, the beams a miss leaves: ``range(1,
+    K + 1)`` before step 1, then the last probe's pool minus that probe.
+    ``probed`` holds that probe's beams in draw order (sorted, a hit's pool).
     ``detection_time`` is the step of the first legitimate hit, if any.
     ``clamp_count`` counts probe sizes clamped to the pool size; the clamp
     is a guard that no schedule reaches, so the count stays 0.  ``pool`` is
@@ -92,6 +91,11 @@ class BlockTranscript:
     y_e: list[int]
     cost_ok: bool
     clamp_count: int = 0
+    pattern: tuple[int, int] | None = None  # packed (y_l, y_e); built if not given
+
+    def __post_init__(self) -> None:
+        if self.pattern is None:
+            self.pattern = (pack_bits(self.y_l), pack_bits(self.y_e))
 
     def format_line(self) -> str:
         """One-line dump: ``s_l s_e probes(hex,comma) y_l(bits) y_e(bits)``."""
@@ -164,45 +168,43 @@ def draw_states(K: int, rng: random.Random) -> tuple[int, int]:
     return 1 + s_l, 1 + s_e
 
 
-def _without(pool: list[int] | range, probed: list[int]) -> list[int]:
-    """Ascending ``pool`` minus ``probed`` (a subset of it), as a new list."""
-    rest = list(pool)
-    for b in probed:
-        del rest[bisect_left(rest, b)]
-    return rest
+def _sample(getrandbits, pool: list[int] | range, q: int) -> tuple[list[int], int, list[int]]:
+    """Replay ``Random.sample(pool, q)`` on ``getrandbits``: picks, mask, sorted rest.
 
-
-def _sample(getrandbits, pool: list[int], q: int) -> tuple[list[int], int]:
-    """Replay ``Random.sample(pool, q)`` on ``getrandbits``; also return the mask.
-
-    CPython 3.10-3.13's two branches and set-size rule, with each index drawn
-    by ``getrandbits`` rejection below its range, as ``_randbelow`` does.
-    """
+    CPython 3.10-3.13's two branches and set-size rule (4^ceil(log4(3q)), here
+    from integers), with each index drawn by ``getrandbits`` rejection below
+    its range, as ``_randbelow`` does."""
     n = len(pool)
     picked = []
     mask = 0
-    setsize = 21 + (4 ** math.ceil(math.log(q * 3, 4)) if q > 5 else 0)
+    setsize = 21 + (4 ** (((3 * q - 1).bit_length() + 1) >> 1) if q > 5 else 0)
     if n <= setsize:
-        rest = pool[:]
+        rest = list(pool)
         for m in range(n, n - q, -1):
             k = m.bit_length()
             i = getrandbits(k)
             while i >= m:
                 i = getrandbits(k)
-            picked.append(rest[i])
+            b = rest[i]
+            picked.append(b)
+            mask |= 1 << (b - 1)
             rest[i] = rest[m - 1]
+        rest = sorted(rest[: n - q])
     else:
+        # Index i is taken the first time it is drawn below n (dict: draw order).
         k = n.bit_length()
-        selected = set()
+        selected = {}
         for _ in range(q):
             i = getrandbits(k)
             while i >= n or i in selected:
                 i = getrandbits(k)
-            selected.add(i)
-            picked.append(pool[i])
-    for b in picked:
-        mask |= 1 << (b - 1)
-    return picked, mask
+            b = selected[i] = pool[i]
+            mask |= 1 << (b - 1)
+        picked = list(selected.values())
+        rest = list(pool)
+        for i in sorted(selected, reverse=True):
+            del rest[i]
+    return picked, mask, rest
 
 
 def jcas_step(
@@ -220,22 +222,24 @@ def jcas_step(
     pool, probed, det, j, clamp = state
 
     if det is None and y_prev == 0:
-        # Still exploring: drop last step's probe (none at step 1), take fresh beams.
-        pool = _without(pool, probed)
+        # Still exploring: take fresh beams from those last step's probe left.
         q = schedule.c_int[j - 1]
     else:
         # Detected at det (possibly just now): narrow to the probed half on a
         # hit, to the unprobed rest on a miss, and probe half of what is left.
         if det is None:
             det = j - 1
-        pool = sorted(probed) if y_prev else _without(pool, probed)
+        if y_prev:
+            pool = sorted(probed)
         q = max(schedule.c_int[det - 1] >> (j - det), 1)
 
     if q > len(pool):
         q = len(pool)
         clamp += 1
-    picked, mask = _sample(rng.getrandbits, pool, q)
-    return BeamSet(mask, schedule.K, q), PolicyState(pool, picked, det, j + 1, clamp)
+    picked, mask, rest = _sample(rng.getrandbits, pool, q)
+    # tuple.__new__ skips the generated NamedTuple __new__, about 0.3 us a call.
+    probe = tuple.__new__(BeamSet, (mask, schedule.K, q))
+    return probe, tuple.__new__(PolicyState, (rest, picked, det, j + 1, clamp))
 
 
 def simulate_block(
@@ -254,30 +258,26 @@ def simulate_block(
     drawn_l, drawn_e = draw_states(schedule.K, rng)
     s_l = drawn_l if s_l is None else s_l
     s_e = drawn_e if s_e is None else s_e
-    shift_l = s_l - 1
-    shift_e = s_e - 1
+    shift_l, shift_e = s_l - 1, s_e - 1
 
     budget = int(math.floor(schedule.B))
     state = initial_policy_state(schedule.K)
     yl = 0  # no feedback before step 1
-    probes: list[BeamSet] = []
-    y_l: list[int] = []
-    y_e: list[int] = []
+    packed_l = packed_e = 0
+    probes, y_l, y_e = [], [], []
     cost_ok = True
-    for _ in range(schedule.L):
+    for j in range(schedule.L):
         probe, state = jcas_step(state, yl, schedule, rng)
-        if probe.card > budget:
+        mask, _, card = probe
+        if card > budget:
             cost_ok = False
-        yl = (probe.mask >> shift_l) & 1
+        yl = (mask >> shift_l) & 1
+        ye = (mask >> shift_e) & 1
         probes.append(probe)
         y_l.append(yl)
-        y_e.append((probe.mask >> shift_e) & 1)
+        y_e.append(ye)
+        packed_l |= yl << j
+        packed_e |= ye << j
     return BlockTranscript(
-        s_l=s_l,
-        s_e=s_e,
-        probes=probes,
-        y_l=y_l,
-        y_e=y_e,
-        cost_ok=cost_ok,
-        clamp_count=state.clamp_count,
+        s_l, s_e, probes, y_l, y_e, cost_ok, state.clamp_count, (packed_l, packed_e)
     )

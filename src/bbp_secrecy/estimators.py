@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .channel import block_seeds, simulate_block
 from .model import ExplorationSchedule, ModelConfig, compute_schedule
-from .model import pack_bits, prefix_cells, step_entropies
+from .model import prefix_cells, step_entropies
 
 GROUPS = 100
 MIN_GROUP_BLOCKS = 10
@@ -115,14 +115,14 @@ def _collect_range(
         for i, word in enumerate(block_seeds(config.seed, start, stop), start):
             rng.seed(word)
             t = simulate_block(schedule, rng)
-            key = (pack_bits(t.y_l), pack_bits(t.y_e))
-            stats.pattern_counts[key] += 1
-            stats.group_counts[i * groups // total][key] += 1
+            stats.group_counts[i * groups // total][t.pattern] += 1
             if not t.cost_ok:
                 budget_violations += 1
             clamps += t.clamp_count
             if dump is not None:
                 dump.write(t.format_line() + "\n")
+    for counts in stats.group_counts:  # contiguous: first-seen order, every float kept
+        stats.pattern_counts.update(counts)
     stats.cost_violations = budget_violations
     stats.clamped_probes = clamps
     return stats

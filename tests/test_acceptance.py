@@ -9,13 +9,14 @@ genuinely disagree; see README for the catalogue of known discrepancies.
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from bbp_secrecy import cli
 from bbp_secrecy.bounds import bound_point, closed_forms, prefix_probability_table
 from bbp_secrecy.channel import block_seeds, simulate_block
-from bbp_secrecy.estimators import estimate_rates
+from bbp_secrecy.estimators import collect_stats, estimate_rates
 from bbp_secrecy.model import ModelConfig, compute_schedule, prefix_cells, step_entropies
 from bbp_secrecy.oracle import _lumped_law, verify_against_closed_forms
 
@@ -114,6 +115,20 @@ def test_c5_oracle_equivalence(L):
     )
 
 
+def test_c5_exact_all_zero_mass_against_closed():
+    # Twin of test_c5_oracle_equivalence[3]: before step 3 at (8, 2, 3) the
+    # eavesdropper has seen 00 with exact mass 9/16; the closed form gives 1/2.
+    sched = compute_schedule(8, 2, 3)
+    law, denominator = _lumped_law(8, sched.c_int)
+    exact = Fraction(prefix_cells(law, 1, 3)[2][0][0], denominator)
+    closed = Fraction(prefix_probability_table(sched)[3, 2].mass)
+    _report(
+        "C5 exact all-zero mass 9/16 against the closed 1/2 (8,2,3)",
+        (exact, closed) == (Fraction(9, 16), Fraction(1, 2)),
+        f"exact={exact} closed={closed}",
+    )
+
+
 def test_c5_deep_term_adjudication():
     report = verify_against_closed_forms(8, 2, 4)
     t3 = report.t3
@@ -199,15 +214,14 @@ def _chi2_upper_tail(x: float, dof: int) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2))
 
 
-def test_c6_simulated_patterns_follow_the_exact_law(mc_run):
-    # G-test of the fixture's (y_l, y_e) pattern counts, cells with fewer
-    # than 5 expected blocks pooled into one.
-    counts = mc_run[2].pattern_counts
+def _g_test(counts, law: dict, denominator: int) -> tuple[float, int, float]:
+    """(G, dof, p) of (y_l, y_e) pattern counts against an exact law, cells
+    with fewer than 5 expected blocks pooled into one."""
     n = sum(counts.values())
-    assert set(counts) <= set(C6_LAW), "a simulated pattern has exact probability 0"
+    assert set(counts) <= set(law), "a simulated pattern has exact probability 0"
     cells, pooled = [], [0, 0.0]
-    for pattern, weight in C6_LAW.items():
-        seen, expected = counts.get(pattern, 0), n * weight / C6_DENOMINATOR
+    for pattern, weight in law.items():
+        seen, expected = counts.get(pattern, 0), n * weight / denominator
         if expected < 5:
             pooled[0] += seen
             pooled[1] += expected
@@ -217,9 +231,28 @@ def test_c6_simulated_patterns_follow_the_exact_law(mc_run):
         cells.append(pooled)
     g = 2 * sum(seen * math.log(seen / expected) for seen, expected in cells if seen)
     dof = len(cells) - 1
-    p = _chi2_upper_tail(g, dof)
+    return g, dof, _chi2_upper_tail(g, dof)
+
+
+def test_c6_simulated_patterns_follow_the_exact_law(mc_run):
+    # G-test of the fixture's pattern counts.
+    g, dof, p = _g_test(mc_run[2].pattern_counts, C6_LAW, C6_DENOMINATOR)
     _report(
         f"C6 simulated patterns follow the exact law (G-test, p >= {G_TEST_LEVEL:g})",
+        p >= G_TEST_LEVEL,
+        f"G={g:.1f} dof={dof} p={p:.3f}",
+    )
+
+
+def test_wide_simulated_patterns_follow_the_exact_law():
+    # A short run at (256, 16, 12), where pools are large enough for the
+    # sampler's redraw-into-a-set branch; seed and level fixed before the
+    # first run.
+    config = ModelConfig(K=256, L=12, B=16, seed=2201, blocks=2 * 10**4)
+    law, denominator = _lumped_law(256, compute_schedule(256, 16, 12).c_int)
+    g, dof, p = _g_test(collect_stats(config, workers=1).pattern_counts, law, denominator)
+    _report(
+        f"(256,16,12) simulated patterns follow the exact law (G-test, p >= {G_TEST_LEVEL:g})",
         p >= G_TEST_LEVEL,
         f"G={g:.1f} dof={dof} p={p:.3f}",
     )
@@ -252,6 +285,36 @@ def test_c6_exact_leakage_against_closed():
         exact == pytest.approx(0.5532697916, abs=1e-10)
         and closed == pytest.approx(0.4780315873, abs=1e-10),
         f"exact={exact!r} closed={closed!r}",
+    )
+
+
+# Exact (eavesdropper flip, closed flip) after each tabulated prefix that the
+# C6 flip tests above test against the simulation.
+C6_EXACT_FLIPS = {
+    "j3-00": (Fraction(2, 9), Fraction(1, 4)),
+    "j4-000": (Fraction(1, 14), Fraction(1, 8)),
+    "j5-0000": (Fraction(1, 52), Fraction(1, 16)),
+    "j3-11": (Fraction(1, 4), Fraction(1, 2)),
+    "j4-111": (Fraction(1, 4), Fraction(1, 2)),
+    "j4-011": (Fraction(1, 4), Fraction(1, 2)),
+    "j5-0111": (Fraction(1, 4), Fraction(1, 2)),
+    "j5-0011": (Fraction(1, 4), Fraction(1, 2)),
+    "j5-1111": (Fraction(1, 2), Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(C6_EXACT_FLIPS))
+def test_c6_exact_flip_against_closed(case):
+    # Twin of test_c6_prefix_flip_within_three_sigma[case].
+    step, prefix = case.split("-")
+    j, k = int(step[1:]), prefix.count("0")
+    mass, ones = prefix_cells(C6_LAW, 1, j)[j - 1][int(prefix[::-1], 2)]
+    exact, closed = Fraction(ones, mass), Fraction(MC_TABLE[j, k].flip)
+    want_exact, want_closed = C6_EXACT_FLIPS[case]
+    _report(
+        f"C6 exact flip after '{prefix}' (step {j}) {want_exact} against the closed {want_closed}",
+        (exact, closed) == (want_exact, want_closed),
+        f"exact={exact} closed={closed}",
     )
 
 

@@ -18,7 +18,7 @@ from bbp_secrecy.channel import (
     jcas_step,
     simulate_block,
 )
-from bbp_secrecy.model import compute_schedule
+from bbp_secrecy.model import compute_schedule, pack_bits
 
 
 def test_beamset_roundtrip():
@@ -74,10 +74,11 @@ def test_sample_replays_random_sample(n):
             continue
         for seed, pool in ((q, list(range(1, n + 1))), (n + 7, list(range(3, 3 * n + 3, 3)))):
             mine, ref = random.Random(seed), random.Random(seed)
-            picked, mask = _sample(mine.getrandbits, pool, q)
+            picked, mask, rest = _sample(mine.getrandbits, pool, q)
             assert picked == ref.sample(pool, q)
             assert mask == BeamSet.from_beams(picked, pool[-1]).mask
             assert mine.getstate() == ref.getstate()
+            assert rest == sorted(set(pool) - set(picked))
 
 
 def test_draw_states_replays_randrange():
@@ -94,6 +95,26 @@ def test_first_probe_uses_first_schedule_entry():
     assert state.step == 2
     assert sorted(state.probed) == probe.members()
     assert state.detection_time is None
+
+
+@pytest.mark.parametrize("K,B,L", [(32, 8, 5), (256, 16, 12), (8, 2, 4)])
+def test_jcas_step_is_a_function_of_its_state_and_generator(K, B, L):
+    # A step keeps the state it was given: stepping one state twice, with
+    # two generators of the same seed, gives equal probes and equal states.
+    sched = compute_schedule(K, B, L)
+    for word in block_seeds(17, 0, 50):
+        rng = random.Random(word)
+        s_l, _ = draw_states(K, rng)
+        state, y_prev = initial_policy_state(K), 0
+        for _ in range(L):
+            pool = list(state.pool)
+            twin = random.Random()
+            twin.setstate(rng.getstate())
+            probe, nxt = jcas_step(state, y_prev, sched, rng)
+            assert list(state.pool) == pool
+            assert jcas_step(state, y_prev, sched, twin) == (probe, nxt)
+            y_prev = probe.mask >> (s_l - 1) & 1
+            state = nxt
 
 
 def test_exploration_probes_are_disjoint_until_detection():
@@ -274,3 +295,14 @@ def test_random_stream_matches_golden_digest(n):
         tr = simulate_block(sched, random.Random(word))
         lines.append(f"{tr.format_line()} {tr.clamp_count} {int(tr.cost_ok)}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", range(len(GOLDEN_STREAMS)))
+def test_transcript_pattern_packs_the_feedback(n):
+    (K, B, L), _ = GOLDEN_STREAMS[n]
+    sched = compute_schedule(K, B, L)
+    for word in block_seeds(1000 + n, 0, 500):
+        t = simulate_block(sched, random.Random(word))
+        assert t.pattern == (pack_bits(t.y_l), pack_bits(t.y_e))
+    hand = BlockTranscript(s_l=1, s_e=2, probes=[], y_l=[1, 0, 1], y_e=[0, 1, 1], cost_ok=True)
+    assert hand.pattern == (0b101, 0b110)

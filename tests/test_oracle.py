@@ -334,3 +334,19 @@ def test_estimator_statistics_on_scaled_exact_law_match_the_oracle(K, B, L):
                 flip = enum.prefix_flip(j, prefix)
                 expected[pack_bits(prefix)] = [mass * scale, flip * mass * scale]
         assert stats.prefix_stats("eav", j) == expected
+
+
+@pytest.mark.parametrize(
+    "K,B,L,total",
+    [(32, 8, 7, 5.0), (48, 5.5, 11, 5.261842188), (100, 7, 18, 6.623856190), (256, 16, 20, 8.0)],
+)
+def test_exact_main_steps_sum_to_the_uncovered_beam_identity(K, B, L, total):
+    # Bisection pins every beam a probe ever covers, so the legitimate stream
+    # carries log2 K - (u/K) log2 u bits in all, where u = K - sum(c_int)
+    # beams are never probed and stay unresolved.
+    sched = compute_schedule(K, B, L)
+    law, denominator = _lumped_law(K, sched.c_int)
+    steps = sum(step_entropies(prefix_cells(law, 0, L), denominator))
+    u = K - sum(sched.c_int)
+    assert steps == pytest.approx(math.log2(K) - u * math.log2(u) / K, abs=1e-12)
+    assert steps == pytest.approx(total, abs=1e-9)
