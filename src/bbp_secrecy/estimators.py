@@ -45,8 +45,8 @@ class TranscriptStats:
     """Pattern counts accumulated over simulated blocks.
 
     ``pattern_counts`` maps (y_l bits, y_e bits) -> occurrences, with step j
-    stored in bit j-1.  ``group_counts`` holds the same split into
-    contiguous block groups for batch-means error bars.
+    in bit j-1; it merges, in order, ``group_counts``, where each block is
+    counted once, in its contiguous batch-means group.
     """
 
     L: int
