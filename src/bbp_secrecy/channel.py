@@ -9,7 +9,9 @@ half on a hit and to the unprobed rest on a miss.  Probes never depend on
 the eavesdropper's feedback, only on the legitimate feedback stream.
 
 Both receivers see the same channel: output 1 iff the probed set contains
-their beam.  Feedback is noiseless with unit delay.
+their beam.  Feedback is noiseless with unit delay.  A block's transcript
+keeps each probe as a ``BeamSet`` (mask, size) and the two feedback streams
+once, packed into one (y_l, y_e) pattern.
 
 State: the transmitter carries the beams a miss leaves (``range(1, K + 1)``
 before step 1, then the ascending rest of the last probe's pool, which the
@@ -34,28 +36,27 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, NamedTuple
 
-from .model import ExplorationSchedule, pack_bits
+from .model import ExplorationSchedule
 
 
 class BeamSet(NamedTuple):
-    """Subset of the K beams as a bit mask (bit b-1 <-> beam b)."""
+    """Subset of the beams as a bit mask (bit b-1 <-> beam b) and its size."""
 
     mask: int
-    K: int
     card: int
 
     @classmethod
-    def from_beams(cls, beams, K: int) -> "BeamSet":
+    def from_beams(cls, beams) -> "BeamSet":
         mask = 0
         for b in beams:
             mask |= 1 << (b - 1)
-        return cls(mask, K, mask.bit_count())
+        return cls(mask, mask.bit_count())
 
     def contains(self, beam: int) -> bool:
         return bool((self.mask >> (beam - 1)) & 1)
 
     def members(self) -> list[int]:
-        return [b for b in range(1, self.K + 1) if (self.mask >> (b - 1)) & 1]
+        return [b + 1 for b in range(self.mask.bit_length()) if (self.mask >> b) & 1]
 
     def hex(self) -> str:
         return format(self.mask, "#x")
@@ -82,26 +83,27 @@ class PolicyState(NamedTuple):
 
 @dataclass(slots=True)
 class BlockTranscript:
-    """Everything observable about one simulated block."""
+    """Everything observable about one simulated block.
+
+    ``pattern`` is the only copy of the feedback: (y_l, y_e) packed with step
+    j in bit j-1.  ``y_l`` and ``y_e`` unpack it, one bit per probe.
+    """
 
     s_l: int
     s_e: int
     probes: list[BeamSet]
-    y_l: list[int]
-    y_e: list[int]
+    pattern: tuple[int, int]
     cost_ok: bool
     clamp_count: int = 0
-    pattern: tuple[int, int] | None = None  # packed (y_l, y_e); built if not given
 
-    def __post_init__(self) -> None:
-        if self.pattern is None:
-            self.pattern = (pack_bits(self.y_l), pack_bits(self.y_e))
+    y_l = property(lambda self: [self.pattern[0] >> j & 1 for j in range(len(self.probes))])
+    y_e = property(lambda self: [self.pattern[1] >> j & 1 for j in range(len(self.probes))])
 
     def format_line(self) -> str:
         """One-line dump: ``s_l s_e probes(hex,comma) y_l(bits) y_e(bits)``."""
         probes = ",".join(p.hex() for p in self.probes)
-        yl = "".join(str(b) for b in self.y_l)
-        ye = "".join(str(b) for b in self.y_e)
+        yl = "".join(map(str, self.y_l))
+        ye = "".join(map(str, self.y_e))
         return f"{self.s_l} {self.s_e} {probes} {yl} {ye}"
 
 
@@ -238,7 +240,7 @@ def jcas_step(
         clamp += 1
     picked, mask, rest = _sample(rng.getrandbits, pool, q)
     # tuple.__new__ skips the generated NamedTuple __new__, about 0.3 us a call.
-    probe = tuple.__new__(BeamSet, (mask, schedule.K, q))
+    probe = tuple.__new__(BeamSet, (mask, q))
     return probe, tuple.__new__(PolicyState, (rest, picked, det, j + 1, clamp))
 
 
@@ -264,20 +266,15 @@ def simulate_block(
     state = initial_policy_state(schedule.K)
     yl = 0  # no feedback before step 1
     packed_l = packed_e = 0
-    probes, y_l, y_e = [], [], []
+    probes = []
     cost_ok = True
     for j in range(schedule.L):
         probe, state = jcas_step(state, yl, schedule, rng)
-        mask, _, card = probe
+        mask, card = probe
         if card > budget:
             cost_ok = False
         yl = (mask >> shift_l) & 1
-        ye = (mask >> shift_e) & 1
-        probes.append(probe)
-        y_l.append(yl)
-        y_e.append(ye)
         packed_l |= yl << j
-        packed_e |= ye << j
-    return BlockTranscript(
-        s_l, s_e, probes, y_l, y_e, cost_ok, state.clamp_count, (packed_l, packed_e)
-    )
+        packed_e |= ((mask >> shift_e) & 1) << j
+        probes.append(probe)
+    return BlockTranscript(s_l, s_e, probes, (packed_l, packed_e), cost_ok, state.clamp_count)

@@ -66,16 +66,15 @@ class TranscriptStats:
         self.clamped_probes += other.clamped_probes
         self.cost_violations += other.cost_violations
 
-    def prefix_stats(self, which: str, j: int) -> dict[int, list[int]]:
-        """Per-prefix [count, ones] for step j of stream ``"legit"``/``"eav"``.
+    def prefix_stats(self, stream: int, j: int) -> dict[int, list[int]]:
+        """Per-prefix [count, ones] for step j of stream 0 (y_l) or 1 (y_e).
 
         Keys are the first j-1 feedback bits packed as an integer.
         """
-        if which not in ("legit", "eav"):
-            raise ValueError(f"stream must be 'legit' or 'eav', got {which!r}")
+        if stream not in (0, 1):
+            raise ValueError(f"stream must be 0 (y_l) or 1 (y_e), got {stream!r}")
         if not 1 <= j <= self.L:
             raise ValueError(f"step must be in 1..{self.L}, got {j}")
-        stream = 0 if which == "legit" else 1
         return prefix_cells(self.pattern_counts, stream, j)[j - 1]
 
 

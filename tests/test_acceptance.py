@@ -183,7 +183,7 @@ def _flip_cases():
 @pytest.mark.parametrize("j,prefix,closed", list(_flip_cases()))
 def test_c6_prefix_flip_within_three_sigma(mc_run, j, prefix, closed):
     stats = mc_run[2]
-    seen = stats.prefix_stats("eav", j)
+    seen = stats.prefix_stats(1, j)
     bits = int(prefix[::-1], 2) if prefix else 0
     n, ones = seen[bits]
     phat = ones / n
@@ -405,6 +405,28 @@ def test_c8_general_scale_invariance(K, B, L, m):
         f"C8 ({K},{B},{L}) scales to ({m * K},{m * B},{L})",
         dev <= 1e-12,
         f"max_dev={dev:.3g}",
+    )
+
+
+@pytest.mark.parametrize("K,B,L,m", C8_GRID, ids=[f"K{K}-B{B}-L{L}-m{m}" for K, B, L, m in C8_GRID])
+def test_c8_exact_scale_invariance_twin(K, B, L, m):
+    # Twin of test_c8_general_scale_invariance.  The schedule scales with K,
+    # so every term is invariant but the as_printed T3 sum S/K: the
+    # state_summed bounds are bit-identical at K and mK, and the as_printed
+    # leakage drops by S (1/K - 1/(mK)) = (m-1)/(m(K-1)) of the gap between
+    # the two variants at K.
+    small, large = compute_schedule(K, B, L), compute_schedule(m * K, m * B, L)
+    summed = closed_forms(small, "state_summed").prefix(L)
+    summed_m = closed_forms(large, "state_summed").prefix(L)
+    printed, printed_m = closed_forms(small).leakage, closed_forms(large).leakage
+    drop = printed - printed_m
+    predicted = (m - 1) / (m * (K - 1)) * (summed[1] - printed)
+    _report(
+        f"C8 exact: ({K},{B},{L}) state_summed equals ({m * K},{m * B},{L}), "
+        "as_printed drops by the T3 share",
+        [x.hex() for x in summed] == [x.hex() for x in summed_m]
+        and abs(drop - predicted) <= 1e-12,
+        f"drop={drop:.4g} off_by={abs(drop - predicted):.3g}",
     )
 
 

@@ -22,29 +22,29 @@ from bbp_secrecy.model import compute_schedule, pack_bits
 
 
 def test_beamset_roundtrip():
-    s = BeamSet.from_beams([1, 5, 8], 8)
+    s = BeamSet.from_beams([1, 5, 8])
     assert s.mask == 0b10010001
     assert s.card == 3
     assert s.members() == [1, 5, 8]
     assert s.contains(5) and not s.contains(2)
     assert s.hex() == "0x91"
-    assert BeamSet.from_beams(range(1, 5), 4).members() == [1, 2, 3, 4]
-    assert BeamSet.from_beams([], 4).card == 0
+    assert BeamSet.from_beams(range(1, 5)).members() == [1, 2, 3, 4]
+    assert BeamSet.from_beams([]).card == 0
 
 
 @given(st.integers(2, 32).flatmap(lambda K: st.tuples(st.just(K), st.sets(st.integers(1, K)))))
 def test_beamset_members_roundtrip(K_and_beams):
     K, beams = K_and_beams
-    s = BeamSet.from_beams(beams, K)
+    s = BeamSet.from_beams(beams)
     assert s.members() == sorted(beams)
     assert s.card == len(beams)
 
 
 def test_channel_output_is_membership():
-    x = BeamSet.from_beams([2, 3], 4)
+    x = BeamSet.from_beams([2, 3])
     assert int(x.contains(2)) == 1
     assert int(x.contains(1)) == 0
-    assert int(BeamSet.from_beams([], 4).contains(1)) == 0
+    assert int(BeamSet.from_beams([]).contains(1)) == 0
 
 
 def test_draw_states_deterministic_and_uniform():
@@ -76,7 +76,7 @@ def test_sample_replays_random_sample(n):
             mine, ref = random.Random(seed), random.Random(seed)
             picked, mask, rest = _sample(mine.getrandbits, pool, q)
             assert picked == ref.sample(pool, q)
-            assert mask == BeamSet.from_beams(picked, pool[-1]).mask
+            assert mask == BeamSet.from_beams(picked).mask
             assert mine.getstate() == ref.getstate()
             assert rest == sorted(set(pool) - set(picked))
 
@@ -258,9 +258,8 @@ def test_transcript_dump_line_format():
     tr = BlockTranscript(
         s_l=3,
         s_e=7,
-        probes=[BeamSet.from_beams([1, 3], 8), BeamSet.from_beams([5], 8)],
-        y_l=[1, 0],
-        y_e=[0, 0],
+        probes=[BeamSet.from_beams([1, 3]), BeamSet.from_beams([5])],
+        pattern=(0b01, 0b00),
         cost_ok=True,
     )
     assert tr.format_line() == "3 7 0x5,0x10 10 00"
@@ -304,5 +303,6 @@ def test_transcript_pattern_packs_the_feedback(n):
     for word in block_seeds(1000 + n, 0, 500):
         t = simulate_block(sched, random.Random(word))
         assert t.pattern == (pack_bits(t.y_l), pack_bits(t.y_e))
-    hand = BlockTranscript(s_l=1, s_e=2, probes=[], y_l=[1, 0, 1], y_e=[0, 1, 1], cost_ok=True)
-    assert hand.pattern == (0b101, 0b110)
+    probes = [BeamSet.from_beams([1]), BeamSet.from_beams([2]), BeamSet.from_beams([1, 2])]
+    hand = BlockTranscript(s_l=1, s_e=2, probes=probes, pattern=(0b101, 0b110), cost_ok=True)
+    assert (hand.y_l, hand.y_e) == ([1, 0, 1], [0, 1, 1])

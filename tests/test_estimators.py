@@ -183,7 +183,7 @@ def test_unseen_prefixes_are_the_unseen_table_keys(K, B, L, blocks):
     unseen = [
         (j, k)
         for j, k in sorted(table)
-        if pack_bits((0,) * k + (1,) * (j - 1 - k)) not in stats.prefix_stats("eav", j)
+        if pack_bits((0,) * k + (1,) * (j - 1 - k)) not in stats.prefix_stats(1, j)
     ]
     assert unseen_table_prefixes(stats) == unseen
 
@@ -197,16 +197,17 @@ def test_no_clamps_or_budget_violations(K, B, L):
 
 def test_prefix_stats_rejects_unknown_stream():
     stats = collect_stats(ModelConfig(K=8, L=3, B=2, seed=1, blocks=20))
-    assert stats.prefix_stats("legit", 2) != stats.prefix_stats("eav", 2)
-    with pytest.raises(ValueError):
-        stats.prefix_stats("main", 3)
+    assert stats.prefix_stats(0, 2) != stats.prefix_stats(1, 2)
+    for stream in (2, "eav"):
+        with pytest.raises(ValueError, match="stream"):
+            stats.prefix_stats(stream, 3)
 
 
 @pytest.mark.parametrize("j", [0, 4])
 def test_prefix_stats_rejects_a_step_outside_the_block(j):
     stats = collect_stats(ModelConfig(K=8, L=3, B=2, seed=1, blocks=20))
     with pytest.raises(ValueError, match="step"):
-        stats.prefix_stats("eav", j)
+        stats.prefix_stats(1, j)
 
 
 @pytest.mark.parametrize(

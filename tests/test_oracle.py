@@ -333,7 +333,7 @@ def test_estimator_statistics_on_scaled_exact_law_match_the_oracle(K, B, L):
             if mass:
                 flip = enum.prefix_flip(j, prefix)
                 expected[pack_bits(prefix)] = [mass * scale, flip * mass * scale]
-        assert stats.prefix_stats("eav", j) == expected
+        assert stats.prefix_stats(1, j) == expected
 
 
 @pytest.mark.parametrize(

@@ -2,16 +2,19 @@
 
 ``bench/spans.py`` wraps module attributes by name; a renamed or deleted one
 makes every traced benchmark run fail.  This loads the module, checks each
-name, and runs a small traced sweep.
+name, and runs a small traced sweep and a small traced Monte Carlo run.
 """
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from bbp_secrecy import cli
+from bbp_secrecy import cli, estimators
+from bbp_secrecy.channel import block_seeds, simulate_block
+from bbp_secrecy.model import ModelConfig, compute_schedule
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -52,3 +55,23 @@ def test_traced_sweep_records_every_bound_grid_layer(spans, tmp_path, capsys):
     # B = 1, 5, 9, 13: 9 and 13 are past K/2 = 8 and share its pass.
     assert calls["bounds.bound_point"] == 3
     assert calls["model.compute_schedule"] >= 1
+
+
+def test_traced_monte_carlo_records_every_block_and_probe(spans):
+    # The Monte Carlo workloads' layer metrics divide by these spans' calls
+    # and counts; the jcas_step count reads the probe's card.
+    config = ModelConfig(K=32, L=5, B=8, seed=7, blocks=40)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        estimators.estimate_rates(config, workers=1)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["channel.simulate_block"]["calls"] == 40
+    assert summary["channel.jcas_step"]["calls"] == 40 * 5
+
+    sched = compute_schedule(32, 8, 5)
+    blocks = [simulate_block(sched, random.Random(w)) for w in block_seeds(7, 0, 40)]
+    assert summary["channel.jcas_step"]["count"] == sum(p.card for t in blocks for p in t.probes)
+    assert summary["estimators.estimate_rates"]["count"] == len({t.pattern for t in blocks})
