@@ -10,8 +10,9 @@ the eavesdropper's feedback, only on the legitimate feedback stream.
 
 Both receivers see the same channel: output 1 iff the probed set contains
 their beam.  Feedback is noiseless with unit delay.  A block's transcript
-keeps each probe as a ``BeamSet`` (mask, size) and the two feedback streams
-once, packed into one (y_l, y_e) pattern.
+keeps each probe as a ``BeamSet`` (labels in draw order and their count; the
+mask is derived) and the two feedback streams once, packed into one (y_l, y_e)
+pattern.
 
 State: the transmitter carries the beams a miss leaves (``range(1, K + 1)``
 before step 1, then the ascending rest of the last probe's pool, which the
@@ -40,23 +41,26 @@ from .model import ExplorationSchedule
 
 
 class BeamSet(NamedTuple):
-    """Subset of the beams as a bit mask (bit b-1 <-> beam b) and its size."""
+    """Beam labels (a probe's in draw order) and their count; the mask (bit b-1
+    <-> beam b) and the methods below derive from the labels on demand."""
 
-    mask: int
+    beams: list[int]
     card: int
 
     @classmethod
     def from_beams(cls, beams) -> "BeamSet":
-        mask = 0
-        for b in beams:
-            mask |= 1 << (b - 1)
-        return cls(mask, mask.bit_count())
+        beams = list(beams)
+        return cls(beams, len(beams))
+
+    @property
+    def mask(self) -> int:
+        return sum(1 << (b - 1) for b in self.beams)  # the labels are distinct
 
     def contains(self, beam: int) -> bool:
-        return bool((self.mask >> (beam - 1)) & 1)
+        return beam in self.beams
 
     def members(self) -> list[int]:
-        return [b + 1 for b in range(self.mask.bit_length()) if (self.mask >> b) & 1]
+        return sorted(self.beams)
 
     def hex(self) -> str:
         return format(self.mask, "#x")
@@ -170,15 +174,14 @@ def draw_states(K: int, rng: random.Random) -> tuple[int, int]:
     return 1 + s_l, 1 + s_e
 
 
-def _sample(getrandbits, pool: list[int] | range, q: int) -> tuple[list[int], int, list[int]]:
-    """Replay ``Random.sample(pool, q)`` on ``getrandbits``: picks, mask, sorted rest.
+def _sample(getrandbits, pool: list[int] | range, q: int) -> tuple[list[int], list[int]]:
+    """Replay ``Random.sample(pool, q)`` on ``getrandbits``: picks and sorted rest.
 
     CPython 3.10-3.13's two branches and set-size rule (4^ceil(log4(3q)), here
     from integers), with each index drawn by ``getrandbits`` rejection below
     its range, as ``_randbelow`` does."""
     n = len(pool)
     picked = []
-    mask = 0
     setsize = 21 + (4 ** (((3 * q - 1).bit_length() + 1) >> 1) if q > 5 else 0)
     if n <= setsize:
         rest = list(pool)
@@ -187,9 +190,7 @@ def _sample(getrandbits, pool: list[int] | range, q: int) -> tuple[list[int], in
             i = getrandbits(k)
             while i >= m:
                 i = getrandbits(k)
-            b = rest[i]
-            picked.append(b)
-            mask |= 1 << (b - 1)
+            picked.append(rest[i])
             rest[i] = rest[m - 1]
         rest = sorted(rest[: n - q])
     else:
@@ -200,13 +201,12 @@ def _sample(getrandbits, pool: list[int] | range, q: int) -> tuple[list[int], in
             i = getrandbits(k)
             while i >= n or i in selected:
                 i = getrandbits(k)
-            b = selected[i] = pool[i]
-            mask |= 1 << (b - 1)
+            selected[i] = pool[i]
         picked = list(selected.values())
         rest = list(pool)
         for i in sorted(selected, reverse=True):
             del rest[i]
-    return picked, mask, rest
+    return picked, rest
 
 
 def jcas_step(
@@ -238,9 +238,9 @@ def jcas_step(
     if q > len(pool):
         q = len(pool)
         clamp += 1
-    picked, mask, rest = _sample(rng.getrandbits, pool, q)
+    picked, rest = _sample(rng.getrandbits, pool, q)
     # tuple.__new__ skips the generated NamedTuple __new__, about 0.3 us a call.
-    probe = tuple.__new__(BeamSet, (mask, q))
+    probe = tuple.__new__(BeamSet, (picked, q))
     return probe, tuple.__new__(PolicyState, (rest, picked, det, j + 1, clamp))
 
 
@@ -260,7 +260,6 @@ def simulate_block(
     drawn_l, drawn_e = draw_states(schedule.K, rng)
     s_l = drawn_l if s_l is None else s_l
     s_e = drawn_e if s_e is None else s_e
-    shift_l, shift_e = s_l - 1, s_e - 1
 
     budget = int(math.floor(schedule.B))
     state = initial_policy_state(schedule.K)
@@ -270,11 +269,11 @@ def simulate_block(
     cost_ok = True
     for j in range(schedule.L):
         probe, state = jcas_step(state, yl, schedule, rng)
-        mask, card = probe
+        beams, card = probe
         if card > budget:
             cost_ok = False
-        yl = (mask >> shift_l) & 1
+        yl = s_l in beams  # q comparisons, cheaper than a K-bit mask per probe
         packed_l |= yl << j
-        packed_e |= ((mask >> shift_e) & 1) << j
+        packed_e |= (s_e in beams) << j
         probes.append(probe)
     return BlockTranscript(s_l, s_e, probes, (packed_l, packed_e), cost_ok, state.clamp_count)

@@ -100,13 +100,13 @@ def step_entropies(cells: list[dict[int, list]], total) -> list[float]:
     """Plug-in H(Y_j | Y^{j-1}) per step from :func:`prefix_cells` output.
 
     Each step sums P(prefix) * h(P(Y_j = 1 | prefix)) over its cells, with
-    P(prefix) = mass / ``total``.
+    P(prefix) = mass / ``total``; a cell with a certain next bit adds +0.0.
     """
     out = []
     for step in cells:
         h = 0.0
         for mass, ones in step.values():
-            if mass:
+            if 0 < ones < mass:
                 h += float(mass / total) * binary_entropy(float(ones / mass))
         out.append(h)
     return out

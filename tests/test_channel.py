@@ -74,9 +74,9 @@ def test_sample_replays_random_sample(n):
             continue
         for seed, pool in ((q, list(range(1, n + 1))), (n + 7, list(range(3, 3 * n + 3, 3)))):
             mine, ref = random.Random(seed), random.Random(seed)
-            picked, mask, rest = _sample(mine.getrandbits, pool, q)
+            picked, rest = _sample(mine.getrandbits, pool, q)
             assert picked == ref.sample(pool, q)
-            assert mask == BeamSet.from_beams(picked).mask
+            assert sorted(picked + rest) == sorted(pool)
             assert mine.getstate() == ref.getstate()
             assert rest == sorted(set(pool) - set(picked))
 
@@ -115,6 +115,28 @@ def test_jcas_step_is_a_function_of_its_state_and_generator(K, B, L):
             assert jcas_step(state, y_prev, sched, twin) == (probe, nxt)
             y_prev = probe.mask >> (s_l - 1) & 1
             state = nxt
+
+
+@pytest.mark.parametrize("K,B,L,blocks", [(256, 16, 12, 2000), (1024, 64, 12, 200)])
+def test_probe_labels_derive_mask_membership_and_members(K, B, L, blocks):
+    # A probe keeps its labels in draw order; the mask, membership and sorted
+    # members are derived from them and must agree with a mask built by hand.
+    sched = compute_schedule(K, B, L)
+    for word in block_seeds(2500 + K, 0, blocks):
+        rng = random.Random(word)
+        s_l, s_e = draw_states(K, rng)
+        state, y_prev = initial_policy_state(K), 0
+        for _ in range(L):
+            probe, state = jcas_step(state, y_prev, sched, rng)
+            mask = 0
+            for b in probe.beams:
+                mask |= 1 << (b - 1)
+            assert probe.card == len(probe.beams) == len(set(probe.beams))
+            assert probe.mask == mask
+            for s in (s_l, s_e):
+                assert probe.contains(s) == bool(mask >> (s - 1) & 1)
+            assert probe.members() == sorted(probe.beams)
+            y_prev = int(probe.contains(s_l))
 
 
 def test_exploration_probes_are_disjoint_until_detection():

@@ -12,6 +12,7 @@ from bbp_secrecy.model import (
     prefix_cells,
     step_entropies,
 )
+from bbp_secrecy.oracle import MAX_K, MAX_L, _lumped_law
 
 H_QUARTER = 0.8112781244591328  # -0.25*log2(0.25) - 0.75*log2(0.75)
 
@@ -188,3 +189,62 @@ def test_prefix_cells_fold_matches_per_pattern_loop(case):
     total = sum(law.values())
     if total:
         assert step_entropies(cells, total) == step_entropies(reference, total)
+
+
+def _step_entropies_every_cell(cells, total):
+    """Reference: binary_entropy on every cell with mass, certain ones included."""
+    out = []
+    for step in cells:
+        h = 0.0
+        for mass, ones in step.values():
+            if mass:
+                h += float(mass / total) * binary_entropy(float(ones / mass))
+        out.append(h)
+    return out
+
+
+@st.composite
+def _integer_laws_with_certain_cells(draw):
+    """An integer law, its stream and a step count L >= 3 with both kinds of certain cell.
+
+    Drawn patterns have bit 0 clear; the pinned pattern 0b101 alone sets it,
+    so its step-2 cell has no ones and its step-3 cell has all ones.
+    """
+    width = draw(st.integers(2, 6))
+    pattern = st.integers(0, 2**width - 1).map(lambda bits: bits << 1)
+    law = draw(st.dictionaries(st.tuples(pattern, pattern), st.integers(0, 2**40), max_size=40))
+    law[(0b101, 0b101)] = draw(st.integers(1, 2**40))
+    return law, draw(st.integers(0, 1)), draw(st.integers(3, width + 1))
+
+
+@given(_integer_laws_with_certain_cells())
+def test_step_entropies_skip_of_certain_cells_is_bit_identical(case):
+    law, stream, L = case
+    total = sum(law.values())
+    cells = prefix_cells(law, stream, L)
+    assert cells[1][1][1] == 0 and cells[2][0b01][1] == cells[2][0b01][0]
+    want = _step_entropies_every_cell(cells, total)
+    assert [h.hex() for h in step_entropies(cells, total)] == [h.hex() for h in want]
+
+
+ENUMERABLE_INTEGER_CASES = [
+    (K, B, L)
+    for K in range(2, MAX_K + 1)
+    for B in range(1, K + 1)
+    for L in range(1, MAX_L + 1)
+    if compute_schedule(K, B, L).is_integral
+]
+
+
+def test_step_entropies_skip_is_bit_identical_on_every_exact_law():
+    assert len(ENUMERABLE_INTEGER_CASES) == 62
+    certain = 0
+    for K, B, L in ENUMERABLE_INTEGER_CASES:
+        law, denominator = _lumped_law(K, compute_schedule(K, B, L).c_int)
+        for stream in (0, 1):
+            cells = prefix_cells(law, stream, L)
+            certain += sum(ones in (0, mass) for step in cells for mass, ones in step.values())
+            want = _step_entropies_every_cell(cells, denominator)
+            got = step_entropies(cells, denominator)
+            assert [h.hex() for h in got] == [h.hex() for h in want]
+    assert certain > 0

@@ -2,7 +2,10 @@
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ import bbp_secrecy
 from bbp_secrecy import bounds, estimators, model, oracle
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def test_python_api_block_runs(monkeypatch):
@@ -44,6 +48,18 @@ def test_package_exports_exist_once():
     assert len(set(bbp_secrecy.__all__)) == len(bbp_secrecy.__all__)
     for name in bbp_secrecy.__all__:
         assert hasattr(bbp_secrecy, name), name
+
+
+def test_package_import_leaves_pools_and_numpy_unloaded():
+    # Startup cost: the process pool is imported only when workers > 1, and
+    # numpy only by the tests.  A fresh interpreter shows what the import pulls in.
+    code = "import sys, bbp_secrecy; print(sorted({'concurrent.futures', 'numpy'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _one_line(text: str) -> str:
