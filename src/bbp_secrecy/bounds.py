@@ -35,16 +35,24 @@ The schedule recursion runs forward and no term of a step reads a later one,
 so ``BoundPoint.prefix(l)`` reads the bounds of every block l <= L off one
 pass, bit for bit those of ``bound_point(K, B, l)``.
 
-The T3 factors c_{k+1}^2 / K^2 (per schedule) and (1/2)^(2m+1) (a constant)
-are precomputed.  Every term keeps the formula's float operations and
-addition order, so the outputs are byte-identical.
+The T3 factors c_{k+1}^2 / K^2 (per schedule) and h = (1/2)^(2m+1) (a
+constant) are precomputed.  Every term keeps the formula's float operations
+and addition order, so the outputs are byte-identical.  ``closed_forms``
+divides the factors by the T3 divisor once; scaling by the power of two h is
+exact, so this changes no normal product, and a subnormal one lies far below
+a quarter-ulp of the total, which holds H(c_1/K) >= 2 c_1/K >= 2 factors.
+Blocks longer than 16 uses skip each step's leading deep terms below a
+quarter-ulp of the total at step 4: adding one cannot move the total, the
+total only grows and each term shrinks 4-fold per step, so the cut only
+lengthens, and a long block adds a few deep terms per step, not j - 3.
 """
 
 from __future__ import annotations
 
+from math import log2, ulp
 from typing import NamedTuple
 
-from .model import MAX_USES, ExplorationSchedule, binary_entropy, compute_schedule
+from .model import MAX_USES, ExplorationSchedule, compute_schedule
 
 T3_VARIANTS = ("as_printed", "state_summed")
 
@@ -96,25 +104,14 @@ class PrefixEntry(NamedTuple):
     flip: float
 
 
-def _share(c: float, rem: float) -> float:
-    """c / rem, taking 0 / 0 as 0.
-
-    For long blocks the float sum of the schedule reaches K, and from then on
-    both c and rem are exactly 0; every term that uses the share then has
-    weight rem = 0 or c = 0, so its value does not count.
-    """
-    return c / rem if rem else 0.0
-
-
-def _deep_factors(sched: ExplorationSchedule, t3_variant: str) -> tuple[list, float]:
-    """T3 mass of prefix 0^k 1^(j-1-k), j-1-k >= 2: sq[k] * _HALF[j-k-3] / div.
+def _t3_divisor(sched: ExplorationSchedule, t3_variant: str) -> float:
+    """div in the T3 mass sq[k] * _HALF[j-k-3] / div of prefix 0^k 1^(j-1-k), j-1-k >= 2.
 
     sq[k] = c_{k+1}^2 / K^2; div is K, or 1 (exact) for ``state_summed``.
     """
     if t3_variant not in T3_VARIANTS:
         raise ValueError(f"unknown t3_variant {t3_variant!r}")
-    K2 = sched.K**2
-    return [cj**2 / K2 for cj in sched.c], float(sched.K) if t3_variant == "as_printed" else 1.0
+    return float(sched.K) if t3_variant == "as_printed" else 1.0
 
 
 def prefix_probability_table(
@@ -126,16 +123,18 @@ def prefix_probability_table(
     listed.  Non-monotone prefixes carry the remaining probability mass and
     contribute no entropy in the closed form.
     """
-    sq, div = _deep_factors(sched, t3_variant)
+    div = _t3_divisor(sched, t3_variant)
     K = sched.K
+    K2 = K**2
+    sq = [cj**2 / K2 for cj in sched.c]
     entries: dict[tuple[int, int], PrefixEntry] = {}
     c_prev = rem_prev = 0.0
     for j, (cumr, cj) in enumerate(zip((0.0, *sched.cum), sched.c), 1):
         rem = K - cumr
         entries[j, j - 1] = PrefixEntry(rem / K, cj / K)  # T1: the all-zero prefix
         if j >= 2:  # T2: one trailing one
-            entries[j, j - 2] = PrefixEntry(c_prev * rem_prev / K**2,
-                                            0.5 * _share(c_prev, rem_prev))
+            entries[j, j - 2] = PrefixEntry(c_prev * rem_prev / K2,
+                                            0.5 * (c_prev / rem_prev if rem_prev else 0.0))
         for k in range(j - 3, -1, -1):  # T3: two or more trailing ones
             entries[j, k] = PrefixEntry(sq[k] * _HALF[j - k - 3] / div, 0.5)
         c_prev, rem_prev = cj, rem
@@ -150,21 +149,33 @@ def closed_forms(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> 
     localized the beam (one full bit per use there).  Leakage entry l-1 is l
     times the rate at l uses, with the T3 coefficient ``t3_variant`` names.
     """
-    sq, div = _deep_factors(sched, t3_variant)
+    div = _t3_divisor(sched, t3_variant)
     K = sched.K
     K2 = K**2
-    sq1 = sq[1:]
+    deep = [cj**2 / K2 / div for cj in sched.c[1:]]
     main, totals = [], []
-    total = c_prev = rem_prev = 0.0
+    total = c_prev = rem_prev = q = 0.0
+    start = 0  # deep terms deep[:start] lie below q and are skipped
     for j, (cumr, cj) in enumerate(zip((0.0, *sched.cum), sched.c), 1):
         rem = K - cumr
-        main.append((rem / K) * binary_entropy(_share(cj, rem)) + cumr / K)
-        total += (rem / K) * binary_entropy(cj / K)
+        # Every share p lies in [0, 1/2], so H(p) is inlined with only its p = 0 case.  Once the
+        # float sum of the schedule reaches K, c = rem = 0 and 0 / 0 is taken as 0 (on weight 0).
+        p = cj / rem if rem else 0.0
+        h = -p * log2(p) - (1.0 - p) * log2(1.0 - p) if p else 0.0
+        main.append((rem / K) * h + cumr / K)
+        p = cj / K
+        total += (rem / K) * (-p * log2(p) - (1.0 - p) * log2(1.0 - p) if p else 0.0)
         if j >= 2:
-            total += (c_prev * rem_prev / K2) * binary_entropy(0.5 * _share(c_prev, rem_prev))
+            p = 0.5 * (c_prev / rem_prev if rem_prev else 0.0)
+            h = -p * log2(p) - (1.0 - p) * log2(1.0 - p) if p else 0.0
+            total += (c_prev * rem_prev / K2) * h
+        if j == 4 and sched.L > 16:
+            q = ulp(total) / 4
+        while start < j - 3 and deep[start] * _HALF[j - 4 - start] < q:
+            start += 1
         # H(1/2) = 1, so deep prefixes contribute their mass directly.
-        for s, h in zip(sq1, _HALF_DOWN[MAX_USES - j + 3 :]):  # half[j-4], ..., half[0]
-            total += s * h / div
+        for d, h in zip(deep[start : j - 3], _HALF_DOWN[MAX_USES - j + 3 + start :]):
+            total += d * h
         totals.append(total)
         c_prev, rem_prev = cj, rem
     return BoundPoint(sched, main, totals)

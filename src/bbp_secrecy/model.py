@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 # Input limits: past 2^53 beams K is not exact as a float (and past about
-# 1.8e308 it overflows one); bound_point at L = 1024 takes 27 ms on a 2-core VM.
+# 1.8e308 it overflows one); at L = 1024 the prefix table lists 524 800 prefixes.
 MAX_BEAMS = 2**53
 MAX_USES = 1024
 
@@ -206,10 +206,13 @@ def compute_schedule(K: int, B: float, L: int) -> ExplorationSchedule:
     c: list[float] = []
     cum: list[float] = []
     total = 0.0
+    Bf = float(B)
     for _ in range(L):
-        cj = min((K - total) / 2.0, float(B))
+        cj = (K - total) / 2.0
+        if Bf < cj:
+            cj = Bf
         c.append(cj)
         total += cj
         cum.append(total)
     c_int = tuple(map(int, c))  # every c_j >= 0, so int() is floor()
-    return ExplorationSchedule(K=K, B=float(B), c=tuple(c), c_int=c_int, cum=tuple(cum))
+    return ExplorationSchedule(K, Bf, tuple(c), c_int, tuple(cum))

@@ -2,7 +2,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbp_secrecy.bounds import (
@@ -330,12 +330,14 @@ def _budgets(K):
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 16, 33, 80, 1024])
-@pytest.mark.parametrize("K", [2, 3, 8, 32, 1024, 2**40])
+@pytest.mark.parametrize("K", [2, 3, 8, 32, 1024, 2**40, 2**53])
 def test_closed_forms_bit_identical_to_per_term_reference(K, L):
-    # At L = 1024 one budget keeps the reference's O(L^2) Python loops short
+    # At L = 1024 two budgets keep the reference's O(L^2) Python loops short
     # (the pinned test below adds a half-integer one), and one instance,
-    # K = 1024 at B = 3.5, checks the 524 800-entry table.
-    budgets = _budgets(K) if L < 1024 else [K / math.e]
+    # K = 1024 at B = 3.5, checks the 524 800-entry table.  B = 1e-300 makes
+    # every deep factor underflow, and K = 2**53 makes the as-printed deep
+    # terms too small to reach the total.
+    budgets = _budgets(K) if L < 1024 else [K / math.e, 1e-300]
     for B in budgets:
         sched = compute_schedule(K, B, L)
         assert sched.c_int == tuple(math.floor(cj) for cj in sched.c)
@@ -351,6 +353,29 @@ def test_closed_forms_bit_identical_to_per_term_reference(K, L):
         sched = compute_schedule(K, 3.5, L)
         table = prefix_probability_table(sched, t3_variant="as_printed")
         assert list(table.items()) == list(_ref_table(sched, "as_printed").items())
+
+
+@st.composite
+def _instances(draw):
+    """(K, B, L) with K up to 2**53, B anywhere in (0, K] and L <= 256."""
+    K = draw(st.one_of(st.integers(2, 64), st.integers(2, 2**53)))
+    edges = st.sampled_from([5e-324, 1e-300, K / 2, float(K)])
+    B = draw(st.one_of(edges, st.floats(min_value=5e-324, max_value=float(K))))
+    return K, B, draw(st.integers(1, 256))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_instances())
+def test_closed_forms_bit_identical_to_per_term_reference_on_drawn_instances(instance):
+    # Deep factors are divided by the T3 divisor once, and blocks longer than
+    # 32 uses skip deep terms below a quarter-ulp of the total; neither may
+    # move a bit of either variant.
+    sched = compute_schedule(*instance)
+    main = [x.hex() for x in _ref_main_step_entropies(sched)]
+    assert [x.hex() for x in closed_forms(sched).main_steps] == main
+    for variant in T3_VARIANTS:
+        want = _ref_leakage(sched, variant).hex()
+        assert closed_forms(sched, variant).leakage.hex() == want
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 16, 33, 80, 1024])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,43 @@ def test_schedule_hand_unrolled(K, B, L, want):
     assert list(s.c) == [float(x) for x in want]
     assert list(s.c_int) == [int(x) for x in want]
     assert s.is_integral == all(x == int(x) for x in want)
+
+
+def _ref_schedule(K, B, L):
+    c, cum, total = [], [], 0.0
+    for _ in range(L):
+        cj = min((K - total) / 2.0, float(B))
+        c.append(cj)
+        total += cj
+        cum.append(total)
+    return c, [math.floor(cj) for cj in c], cum
+
+
+@pytest.mark.parametrize(
+    "K,B,L",
+    [
+        (32, 8, 5),
+        (64, 10.3, 40),
+        (7, 3.5, 12),
+        (1000, 1000 / math.e, 1024),
+        (32, 16, 20),
+        (32, 31.5, 20),
+        (32, 32, 1024),
+        (2**53, 2**52, 1024),
+        (2**53, 2**53, 1024),
+        (2**53, 2**53 / 3, 1024),
+        (2**53, 0.1, 1024),
+        (2**53, 5e-324, 64),
+        (2, 1e-300, 1024),
+    ],
+)
+def test_schedule_equals_plain_min_recursion(K, B, L):
+    s = compute_schedule(K, B, L)
+    c, c_int, cum = _ref_schedule(K, B, L)
+    assert (s.K, type(s.B), s.B.hex()) == (K, float, float(B).hex())
+    assert [x.hex() for x in s.c] == [x.hex() for x in c]
+    assert list(s.c_int) == c_int
+    assert [x.hex() for x in s.cum] == [x.hex() for x in cum]
 
 
 def test_schedule_partial_sums():
