@@ -155,7 +155,7 @@ def closed_forms(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> 
     deep = [cj**2 / K2 / div for cj in sched.c[1:]]
     main, totals = [], []
     total = c_prev = rem_prev = q = 0.0
-    start = 0  # deep terms deep[:start] lie below q and are skipped
+    start = 0  # deep[:start] lie below q, a quarter-ulp of a long block's total at j = 4
     for j, (cumr, cj) in enumerate(zip((0.0, *sched.cum), sched.c), 1):
         rem = K - cumr
         # Every share p lies in [0, 1/2], so H(p) is inlined with only its p = 0 case.  Once the

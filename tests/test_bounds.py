@@ -368,7 +368,7 @@ def _instances(draw):
 @given(_instances())
 def test_closed_forms_bit_identical_to_per_term_reference_on_drawn_instances(instance):
     # Deep factors are divided by the T3 divisor once, and blocks longer than
-    # 32 uses skip deep terms below a quarter-ulp of the total; neither may
+    # 16 uses skip deep terms below a quarter-ulp of the total; neither may
     # move a bit of either variant.
     sched = compute_schedule(*instance)
     main = [x.hex() for x in _ref_main_step_entropies(sched)]
