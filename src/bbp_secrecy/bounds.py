@@ -24,10 +24,10 @@ the default everywhere is the expression as written above.
 The closed forms are functions of the schedule c_1..c_L alone: they take an
 ``ExplorationSchedule`` and read K and L from it, so a caller that holds a
 schedule never builds it again.  ``closed_forms(sched, t3_variant)`` is the
-one pass that yields the per-step main entropies and the running leakage
-sums, held in a ``BoundPoint``; ``bound_point(K, B, L)`` is the entry point
-for a plain (K, B, L) query.  ``prefix_probability_table`` maps each key
-(j, k) of a prefix 0^k 1^(j-1-k) to its numbers alone,
+one pass that yields the per-step main entropies and the running main and
+leakage sums, held in a ``BoundPoint``; ``bound_point(K, B, L)`` is the
+entry point for a plain (K, B, L) query.  ``prefix_probability_table`` maps
+each key (j, k) of a prefix 0^k 1^(j-1-k) to its numbers alone,
 ``PrefixEntry(mass, flip)``; a caller that wants the prefix spelled out
 builds it from the key.
 
@@ -45,6 +45,13 @@ Blocks longer than 16 uses skip each step's leading deep terms below a
 quarter-ulp of the total at step 4: adding one cannot move the total, the
 total only grows and each term shrinks 4-fold per step, so the cut only
 lengthens, and a long block adds a few deep terms per step, not j - 3.
+
+Each share and its entropy is computed once.  A halving step's share c/rem
+is exactly 1/2, whose inlined entropy is exactly 1.0; the next T2 share, half
+of it, is exactly 1/4, whose entropy ``_H_QUARTER`` is that expression taken
+at import.  Both are tested on the value, so a zero or subnormal rem takes
+the general formula.  A budget-bound step repeats the T1 share c/K.  Totals
+are added left to right, as ``sum()`` does only up to Python 3.11.
 """
 
 from __future__ import annotations
@@ -59,20 +66,22 @@ T3_VARIANTS = ("as_printed", "state_summed")
 # half[m] = (1/2)^(2m+1) for every m a block can reach, and the same backwards.
 _HALF = [0.5**e for e in range(1, 2 * MAX_USES, 2)]
 _HALF_DOWN = _HALF[::-1]
+_H_QUARTER = -0.25 * log2(0.25) - (1.0 - 0.25) * log2(1.0 - 0.25)
 
 
 class BoundPoint(NamedTuple):
     """Closed-form bounds for the (K, B, L) instance ``schedule`` carries.
 
-    ``main_steps`` holds the per-step main entropies and ``leakage_totals``
-    the running leakage sum after each step; ``prefix(l)`` reads the bounds
-    over the first l <= L uses off them.  ``outer``, ``leakage``,
+    ``main_steps`` holds the per-step main entropies, ``main_totals`` and
+    ``leakage_totals`` the running sums after each step; ``prefix(l)`` reads
+    the bounds over the first l <= L uses off them.  ``outer``, ``leakage``,
     ``inner_raw`` and ``inner`` are ``prefix(L)``: ``inner_raw`` is outer
     minus leakage before flooring; ``inner`` is clamped to be non-negative.
     """
 
     schedule: ExplorationSchedule
     main_steps: list[float]
+    main_totals: list[float]
     leakage_totals: list[float]
 
     def prefix(self, l: int) -> tuple[float, float, float, float]:
@@ -80,7 +89,7 @@ class BoundPoint(NamedTuple):
         if not 1 <= l <= self.schedule.L:
             raise ValueError(f"block length must be in 1..{self.schedule.L}, got {l}")
         # A single use leaves no room for a secret message: the outer bound is 0.
-        outer = sum(self.main_steps[:l]) / l if l > 1 else 0.0
+        outer = self.main_totals[l - 1] / l if l > 1 else 0.0
         leak = self.leakage_totals[l - 1] / l
         raw = outer - leak
         return outer, leak, raw, max(0.0, raw)
@@ -153,21 +162,28 @@ def closed_forms(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> 
     K = sched.K
     K2 = K**2
     deep = [cj**2 / K2 / div for cj in sched.c[1:]]
-    main, totals = [], []
-    total = c_prev = rem_prev = q = 0.0
+    main, main_totals, totals = [], [], []
+    main_total = total = c_prev = rem_prev = p_prev = q = 0.0
+    p1 = h1 = -1.0  # the last T1 share c/K and its entropy
     start = 0  # deep[:start] lie below q, a quarter-ulp of a long block's total at j = 4
     for j, (cumr, cj) in enumerate(zip((0.0, *sched.cum), sched.c), 1):
         rem = K - cumr
+        w = rem / K
         # Every share p lies in [0, 1/2], so H(p) is inlined with only its p = 0 case.  Once the
         # float sum of the schedule reaches K, c = rem = 0 and 0 / 0 is taken as 0 (on weight 0).
         p = cj / rem if rem else 0.0
-        h = -p * log2(p) - (1.0 - p) * log2(1.0 - p) if p else 0.0
-        main.append((rem / K) * h + cumr / K)
-        p = cj / K
-        total += (rem / K) * (-p * log2(p) - (1.0 - p) * log2(1.0 - p) if p else 0.0)
-        if j >= 2:
-            p = 0.5 * (c_prev / rem_prev if rem_prev else 0.0)
-            h = -p * log2(p) - (1.0 - p) * log2(1.0 - p) if p else 0.0
+        h = 1.0 if p == 0.5 else -p * log2(p) - (1.0 - p) * log2(1.0 - p) if p else 0.0
+        m = w * h + cumr / K
+        main.append(m)
+        main_total += m
+        main_totals.append(main_total)
+        if cj / K != p1:
+            p1 = cj / K
+            h1 = -p1 * log2(p1) - (1.0 - p1) * log2(1.0 - p1) if p1 else 0.0
+        total += w * h1
+        if j >= 2:  # the T2 share is half the step before's main share
+            p2 = 0.5 * p_prev
+            h = _H_QUARTER if p2 == 0.25 else -p2 * log2(p2) - (1.0 - p2) * log2(1.0 - p2) if p2 else 0.0
             total += (c_prev * rem_prev / K2) * h
         if j == 4 and sched.L > 16:
             q = ulp(total) / 4
@@ -177,8 +193,8 @@ def closed_forms(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> 
         for d, h in zip(deep[start : j - 3], _HALF_DOWN[MAX_USES - j + 3 + start :]):
             total += d * h
         totals.append(total)
-        c_prev, rem_prev = cj, rem
-    return BoundPoint(sched, main, totals)
+        c_prev, rem_prev, p_prev = cj, rem, p
+    return BoundPoint(sched, main, main_totals, totals)
 
 
 def bound_point(K: int, B: float, L: int) -> BoundPoint:

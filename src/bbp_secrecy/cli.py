@@ -106,16 +106,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # row of that budget: c_j <= K/2, so every B >= K/2 has the same schedule,
     # and the recursion runs forward, so every shorter L is a prefix of the
     # pass.  Rows are written L-major, as they are listed.
-    rows = {L: [] for L in L_values}
-    tails = {}  # effective budget -> "outer,leakage,inner_raw,inner\n" per L
+    rows = {f"{args.K},{L},": [] for L in L_values}  # "K,L," head -> rows
+    tails = {}  # effective budget -> ",outer,leakage,inner_raw,inner\n" per L
     for B in b_grid:
         b_eff = min(B, args.K / 2)
         if b_eff not in tails:
             pt = bound_point(args.K, b_eff, L_values[-1])
-            tails[b_eff] = ["{!r},{!r},{!r},{!r}\n".format(*pt.prefix(L)) for L in L_values]
+            tails[b_eff] = tail = []
+            for L in L_values:  # inner = max(0.0, raw), so its text is raw's or "0.0"
+                outer, leak, raw, _ = pt.prefix(L)
+                text = repr(raw)
+                tail.append(f",{outer!r},{leak!r},{text},{text if raw > 0.0 else '0.0'}\n")
         b_text = _fmt_b(B)
-        for (L, col), tail in zip(rows.items(), tails[b_eff]):
-            col.append(f"{args.K},{L},{b_text},{tail}")
+        for (head, col), tail in zip(rows.items(), tails[b_eff]):
+            col.append(head + b_text + tail)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("K,L,B,outer,leakage,inner_raw,inner\n")
         for col in rows.values():
@@ -143,7 +147,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     closed = closed_forms(sched)
     # The main entropy rate, not .outer: the outer bound is 0 at L = 1.
-    closed_main = sum(closed.main_steps) / args.L
+    closed_main = closed.main_totals[-1] / args.L
     closed_leak = closed.leakage
 
     def z(est, closed):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .channel import block_seeds, simulate_block
 from .model import ExplorationSchedule, ModelConfig, compute_schedule
-from .model import prefix_cells, step_entropies
+from .model import left_sum, prefix_cells, step_entropies
 
 GROUPS = 100
 MIN_GROUP_BLOCKS = 10
@@ -75,15 +75,15 @@ class TranscriptStats:
             raise ValueError(f"stream must be 0 (y_l) or 1 (y_e), got {stream!r}")
         if not 1 <= j <= self.L:
             raise ValueError(f"step must be in 1..{self.L}, got {j}")
-        return prefix_cells(self.pattern_counts, stream, j)[j - 1]
+        return prefix_cells(self.pattern_counts, j)[stream][j - 1]
 
 
-def _plug_in_rate(counts: Counter, stream: int, L: int) -> float:
-    """Plug-in estimate of (1/L) sum_j H(Y_j | Y^{j-1}) from pattern counts."""
+def _plug_in_rates(counts: Counter, L: int) -> list[float]:
+    """Plug-in (1/L) sum_j H(Y_j | Y^{j-1}) of y_l and of y_e from pattern counts."""
     total = sum(counts.values())
     if total == 0:
         raise ValueError("no blocks accumulated")
-    return sum(step_entropies(prefix_cells(counts, stream, L), total)) / L
+    return [left_sum(step_entropies(cells, total)) / L for cells in prefix_cells(counts, L)]
 
 
 @dataclass(frozen=True)
@@ -175,11 +175,7 @@ def collect_stats(
     return merged
 
 
-def _rate_estimate(stats: TranscriptStats, stream: int) -> RateEstimate:
-    value = _plug_in_rate(stats.pattern_counts, stream, stats.L)
-    group_rates = [
-        _plug_in_rate(c, stream, stats.L) for c in stats.group_counts if c
-    ]
+def _rate_estimate(value: float, group_rates: tuple[float, ...]) -> RateEstimate:
     if len(group_rates) >= 2:
         stderr = statistics.stdev(group_rates) / math.sqrt(len(group_rates))
     else:
@@ -195,7 +191,10 @@ def estimate_rates(
 ) -> tuple[RateEstimate, RateEstimate, TranscriptStats]:
     """One simulation pass giving (main rate, leakage, raw stats)."""
     stats = collect_stats(config, schedule, workers, dump_path)
-    return _rate_estimate(stats, 0), _rate_estimate(stats, 1), stats
+    values = _plug_in_rates(stats.pattern_counts, stats.L)
+    groups = [_plug_in_rates(c, stats.L) for c in stats.group_counts if c]
+    main, leak = map(_rate_estimate, values, zip(*groups))  # every block is in a group
+    return main, leak, stats
 
 
 def unseen_table_prefixes(stats: TranscriptStats) -> list[tuple[int, int]]:
@@ -204,7 +203,7 @@ def unseen_table_prefixes(stats: TranscriptStats) -> list[tuple[int, int]]:
     Unseen prefixes contribute zero to the plug-in rates; callers may want
     to log them when comparing against the closed forms.
     """
-    seen = prefix_cells(stats.pattern_counts, 1, stats.L)
+    seen = prefix_cells(stats.pattern_counts, stats.L)[1]
     return [
         (j, k)
         for j in range(1, stats.L + 1)

@@ -59,41 +59,53 @@ def pack_bits(bits) -> int:
     return packed
 
 
-def prefix_cells(law, stream: int, L: int) -> list[dict[int, list]]:
-    """Per-step ``[mass, ones]`` cell of every feedback prefix of one stream.
+def prefix_cells(law, L: int) -> tuple[list[dict[int, list]], list[dict[int, list]]]:
+    """Per-step ``[mass, ones]`` cell of every feedback prefix, for y_l and for y_e.
 
     ``law`` maps packed (y_l, y_e) pairs to integer weights: block counts, or
-    exact weights over a common denominator.  ``stream`` selects y_l (0) or
-    y_e (1).  Entry j-1 maps each packed (j-1)-bit prefix to the weight of
-    the patterns that start with it and the weight of those among them with
-    bit j set, in the order the prefixes first occur in ``law``.  One pass
-    over ``law`` fills step L; each earlier step folds the step after it by
-    dropping the prefixes' top bit, which keeps that order.
+    exact weights over a common denominator.  Of each stream's cells, entry
+    j-1 maps each packed (j-1)-bit prefix to the weight of the patterns that
+    start with it and the weight of those among them with bit j set, in the
+    order the prefixes first occur in ``law``.  One pass over ``law`` splits
+    its patterns into the two streams' bits, and one pass over each fills its
+    step L; each earlier step folds the step after it by dropping the
+    prefixes' top bit, which keeps that order.
     """
     mask = (1 << (L - 1)) - 1
-    step: dict[int, list] = {}
-    for pattern, weight in law.items():
-        bits = pattern[stream]
-        cell = step.get(bits & mask)
-        if cell is None:
-            cell = step[bits & mask] = [0, 0]
-        cell[0] += weight
-        if bits >> (L - 1) & 1:
-            cell[1] += weight
-    cells = [step]
-    for j in range(L - 1, 0, -1):
-        mask >>= 1
-        step = {}
-        for prefix, (mass, _) in cells[-1].items():
-            cell = step.get(prefix & mask)
+    weights = law.values()
+    streams = []
+    for column in zip(*law) if law else ((), ()):  # every pattern's y_l bits, then y_e's
+        step: dict[int, list] = {}
+        for bits, weight in zip(column, weights):
+            cell = step.get(bits & mask)
             if cell is None:
-                cell = step[prefix & mask] = [0, 0]
-            cell[0] += mass
-            if prefix >> (j - 1) & 1:
-                cell[1] += mass
-        cells.append(step)
-    cells.reverse()
-    return cells
+                cell = step[bits & mask] = [0, 0]
+            cell[0] += weight
+            if bits >> (L - 1) & 1:
+                cell[1] += weight
+        cells, fold = [step], mask
+        for j in range(L - 1, 0, -1):
+            fold >>= 1
+            step = {}
+            for prefix, (mass, _) in cells[-1].items():
+                cell = step.get(prefix & fold)
+                if cell is None:
+                    cell = step[prefix & fold] = [0, 0]
+                cell[0] += mass
+                if prefix >> (j - 1) & 1:
+                    cell[1] += mass
+            cells.append(step)
+        cells.reverse()
+        streams.append(cells)
+    return tuple(streams)
+
+
+def left_sum(values) -> float:
+    """Float sum added left to right: ``sum()`` is compensated from Python 3.12."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 def step_entropies(cells: list[dict[int, list]], total) -> list[float]:

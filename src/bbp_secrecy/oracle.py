@@ -34,7 +34,7 @@ from functools import cached_property
 
 from .bounds import T3_VARIANTS, closed_forms, prefix_probability_table
 from .model import ExplorationSchedule, binary_entropy, compute_schedule
-from .model import pack_bits, prefix_cells, step_entropies
+from .model import left_sum, pack_bits, prefix_cells, step_entropies
 
 MAX_K = 8
 MAX_L = 4
@@ -134,11 +134,11 @@ class EnumerationResult:
 
     @property
     def main_rate(self) -> float:
-        return sum(self.main_steps) / self.schedule.L
+        return left_sum(self.main_steps) / self.schedule.L
 
     @property
     def leakage(self) -> float:
-        return sum(self.leakage_steps) / self.schedule.L
+        return left_sum(self.leakage_steps) / self.schedule.L
 
     def _eav_cell(self, j: int, prefix: tuple[int, ...]) -> tuple[int, int]:
         if not 1 <= j <= self.schedule.L or len(prefix) != j - 1:
@@ -170,7 +170,7 @@ def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
         raise GuardRailError(f"exact law limited to K <= {MAX_K}, L <= {MAX_L}; got K={K}, L={L}")
     sched = compute_schedule(K, B, L)
     weights, denominator = _lumped_law(K, sched.c_int)
-    eav_cells = prefix_cells(weights, 1, L)
+    main_cells, eav_cells = prefix_cells(weights, L)
 
     # Weight of eavesdropper hits at a step j after an earlier step with
     # (y_l, y_e) = (1, 0), resp. (0, 1): bits of yl & ~ye, resp. ye & ~yl,
@@ -184,7 +184,7 @@ def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
 
     return EnumerationResult(
         schedule=sched,
-        main_steps=step_entropies(prefix_cells(weights, 0, L), denominator),
+        main_steps=step_entropies(main_cells, denominator),
         leakage_steps=step_entropies(eav_cells, denominator),
         _weights=weights,
         _denominator=denominator,

@@ -120,7 +120,7 @@ def test_c5_exact_all_zero_mass_against_closed():
     # eavesdropper has seen 00 with exact mass 9/16; the closed form gives 1/2.
     sched = compute_schedule(8, 2, 3)
     law, denominator = _lumped_law(8, sched.c_int)
-    exact = Fraction(prefix_cells(law, 1, 3)[2][0][0], denominator)
+    exact = Fraction(prefix_cells(law, 3)[1][2][0][0], denominator)
     closed = Fraction(prefix_probability_table(sched)[3, 2].mass)
     _report(
         "C5 exact all-zero mass 9/16 against the closed 1/2 (8,2,3)",
@@ -259,7 +259,7 @@ def test_wide_simulated_patterns_follow_the_exact_law():
 
 
 def _c6_exact_steps(stream: int) -> list[float]:
-    return step_entropies(prefix_cells(C6_LAW, stream, MC_CONFIG.L), C6_DENOMINATOR)
+    return step_entropies(prefix_cells(C6_LAW, MC_CONFIG.L)[stream], C6_DENOMINATOR)
 
 
 def test_c6_exact_main_rate_against_closed():
@@ -308,7 +308,7 @@ def test_c6_exact_flip_against_closed(case):
     # Twin of test_c6_prefix_flip_within_three_sigma[case].
     step, prefix = case.split("-")
     j, k = int(step[1:]), prefix.count("0")
-    mass, ones = prefix_cells(C6_LAW, 1, j)[j - 1][int(prefix[::-1], 2)]
+    mass, ones = prefix_cells(C6_LAW, j)[1][j - 1][int(prefix[::-1], 2)]
     exact, closed = Fraction(ones, mass), Fraction(MC_TABLE[j, k].flip)
     want_exact, want_closed = C6_EXACT_FLIPS[case]
     _report(

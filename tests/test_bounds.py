@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbp_secrecy import bounds
 from bbp_secrecy.bounds import (
     T3_VARIANTS,
     PrefixEntry,
@@ -424,3 +425,54 @@ def test_leakage_bits_pinned_at_longest_block():
     sched = compute_schedule(1024, 3.5, 1024)
     assert closed_forms(sched, "as_printed").leakage.hex() == "0x1.364f593bcba05p-8"
     assert closed_forms(sched, "state_summed").leakage.hex() == "0x1.36746c2da0f57p-8"
+
+
+def _left_to_right(values):
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def test_quarter_entropy_constant_is_the_binary_entropy():
+    assert bounds._H_QUARTER.hex() == binary_entropy(0.25).hex()
+
+
+def test_halving_steps_hit_the_exact_shares():
+    # At B = K/2 every step halves what is left: its share c/rem is exactly
+    # 1/2 and the next step's T2 share exactly 1/4, the two shares whose
+    # entropies closed_forms takes as constants.
+    sched = compute_schedule(1024, 512, 32)
+    rems = [1024 - cumr for cumr in (0.0, *sched.cum[:-1])]
+    assert all(cj / rem == 0.5 for cj, rem in zip(sched.c, rems))
+    assert all(0.5 * (cj / rem) == 0.25 for cj, rem in zip(sched.c, rems))
+
+
+@pytest.mark.parametrize("B,calls", [(512, 64), (8, 128)])
+def test_each_distinct_share_takes_one_entropy(monkeypatch, B, calls):
+    # Two log2 calls per entropy.  At B = K/2 only the T1 shares c_j/K need
+    # one (32 distinct); at B = 8 every step is budget-bound, so the 32 main
+    # and 31 T2 shares do, and the T1 share 8/K once.
+    log2_calls = []
+
+    def counted(x):
+        log2_calls.append(x)
+        return math.log2(x)
+
+    sched = compute_schedule(1024, B, 32)
+    monkeypatch.setattr(bounds, "log2", counted)
+    closed_forms(sched)
+    assert len(log2_calls) == calls
+
+
+@pytest.mark.usefixtures("compensated_sum")
+@pytest.mark.parametrize("K", [64, 256, 1024])
+def test_totals_are_left_to_right_sums(K):
+    # Python 3.12 and later compensate sum(); the main totals, and with them
+    # every outer bound, are added left to right on every version.
+    for i in range(2 * K):
+        pt = bound_point(K, 0.5 + i * 0.5, 32)
+        want = [_left_to_right(pt.main_steps[:l]) for l in range(1, 33)]
+        assert [x.hex() for x in pt.main_totals] == [x.hex() for x in want]
+        outer = [pt.prefix(l)[0].hex() for l in range(2, 33)]
+        assert outer == [(want[l - 1] / l).hex() for l in range(2, 33)]

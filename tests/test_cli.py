@@ -69,21 +69,31 @@ def test_sweep_writes_default_grid(tmp_path, capsys):
     assert out_csv.read_bytes() == first
 
 
-@pytest.mark.parametrize(
-    "flags,digest",
-    [
-        ((), "2fbdac454dd75fd1c4de3d54873fe818780c123ebaeb802ba910293855da559b"),
-        (
-            ("--K", "1024", "--L", "2,4,8,16,32", "--B-start", "0.5", "--B-step", "0.5"),
-            "e2c403f10246ced0967fc4b1d4963ead54439f816f30ef74efaa51b8b7695efc",
-        ),
-    ],
-)
+SWEEP_DIGESTS = [
+    ((), "2fbdac454dd75fd1c4de3d54873fe818780c123ebaeb802ba910293855da559b"),
+    (
+        ("--K", "1024", "--L", "2,4,8,16,32", "--B-start", "0.5", "--B-step", "0.5"),
+        "e2c403f10246ced0967fc4b1d4963ead54439f816f30ef74efaa51b8b7695efc",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags,digest", SWEEP_DIGESTS)
 def test_sweep_csv_bytes_frozen(tmp_path, capsys, flags, digest):
     out_csv = tmp_path / "grid.csv"
     rc, _, _ = run(capsys, "sweep", *flags, "--out", str(out_csv))
     assert rc == 0
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.usefixtures("compensated_sum")
+def test_frozen_outputs_do_not_depend_on_a_compensated_sum(tmp_path, capsys):
+    # From Python 3.12 sum() of floats is compensated.  Every float the CLI
+    # prints is added left to right, so the frozen texts hold there too.
+    test_bounds_output_frozen(capsys)
+    for flags, digest in SWEEP_DIGESTS:
+        test_sweep_csv_bytes_frozen(tmp_path, capsys, flags, digest)
+    test_simulate_output_frozen(capsys)
 
 
 def test_sweep_custom_grid(tmp_path, capsys):
@@ -189,28 +199,43 @@ def test_sweep_calls_traced_bound_point_once_per_b(tmp_path, capsys, monkeypatch
 
 
 SATURATING_SWEEPS = [
-    # (K, L values, B grid, flags): each grid crosses K/2, at 16.5 and 3.5.
+    # (K, L values, B grid, flags): each grid crosses K/2, at 16.5, 3.5, 32
+    # and 512.  K = 64 covers every B on a half-integer grid from 0.25; over
+    # the K = 1024 slice the first halving step (c_j = rem/2 < B) moves from
+    # step 4 (B < K/4) to step 1 (B >= K/2).
     (33, (2, 5, 8, 12), [0.25 + i * 0.75 for i in range(44)],
      ("--K", "33", "--B-start", "0.25", "--B-step", "0.75")),
     (7, (1, 3, 9), [1 + i * 0.5 for i in range(13)],
      ("--K", "7", "--B-step", "0.5", "--L", "1,3,9")),
+    (64, (1, 2, 4, 8, 16, 32), [0.25 + i * 0.5 for i in range(128)],
+     ("--K", "64", "--B-start", "0.25", "--B-step", "0.5", "--L", "1,2,4,8,16,32")),
+    (1024, (1, 2, 4, 8, 16, 32), [250.75 + i * 0.5 for i in range(560)],
+     ("--K", "1024", "--B-start", "250.75", "--B-stop", "530.25", "--B-step", "0.5",
+      "--L", "1,2,4,8,16,32")),
 ]
+SWEEP_IDS = ["K33", "K7", "K64", "K1024"]
 
 
-@pytest.mark.parametrize("K,Ls,b_grid,flags", SATURATING_SWEEPS, ids=["K33", "K7"])
+@pytest.mark.parametrize("K,Ls,b_grid,flags", SATURATING_SWEEPS, ids=SWEEP_IDS)
 def test_sweep_rows_equal_bound_point_at_each_row(tmp_path, capsys, K, Ls, b_grid, flags):
+    # Byte for byte, including the inner column of rows with inner_raw <= 0
+    # (every row at L = 1), which the sweep writes as "0.0".
     out_csv = tmp_path / "g.csv"
     rc, _, err = run(capsys, "sweep", *flags, "--out", str(out_csv))
     assert rc == 0, err
     want = ["K,L,B,outer,leakage,inner_raw,inner"]
+    clamped = 0
     for L in Ls:
         for B in b_grid:
-            fields = [K, L, cli._fmt_b(B), *map(repr, bounds.bound_point(K, B, L).prefix(L))]
-            want.append(",".join(map(str, fields)))
-    assert out_csv.read_text().splitlines() == want
+            bounds_l = bounds.bound_point(K, B, L).prefix(L)
+            clamped += bounds_l[2] <= 0.0
+            want.append(",".join(map(str, [K, L, cli._fmt_b(B), *map(repr, bounds_l)])))
+    assert out_csv.read_bytes() == "".join(line + "\n" for line in want).encode()
+    if 1 in Ls:  # outer is 0 at a single use, so inner_raw = -leakage < 0
+        assert clamped >= len(b_grid)
 
 
-@pytest.mark.parametrize("K,Ls,b_grid,flags", SATURATING_SWEEPS, ids=["K33", "K7"])
+@pytest.mark.parametrize("K,Ls,b_grid,flags", SATURATING_SWEEPS, ids=SWEEP_IDS)
 def test_sweep_evaluates_each_effective_budget_once(
     tmp_path, capsys, monkeypatch, K, Ls, b_grid, flags
 ):

@@ -201,7 +201,7 @@ def _prefix_cells_per_pattern(law, stream, L):
 
 @st.composite
 def _laws(draw):
-    """A law over packed pattern pairs of up to 8 bits, its stream and a step count."""
+    """A law over packed pattern pairs of up to 8 bits and a step count."""
     width = draw(st.integers(1, 8))
     weights = draw(
         st.sampled_from(
@@ -213,20 +213,20 @@ def _laws(draw):
     )
     pattern = st.integers(0, 2**width - 1)
     law = draw(st.dictionaries(st.tuples(pattern, pattern), weights, max_size=60))
-    return law, draw(st.integers(0, 1)), draw(st.integers(1, width))
+    return law, draw(st.integers(1, width))
 
 
 @given(_laws())
 def test_prefix_cells_fold_matches_per_pattern_loop(case):
     # The fold must keep each step's first-occurrence key order as well as
-    # its values: step_entropies sums floats in that order.
-    law, stream, L = case
-    cells = prefix_cells(law, stream, L)
-    reference = _prefix_cells_per_pattern(law, stream, L)
-    assert [list(step.items()) for step in cells] == [list(step.items()) for step in reference]
+    # its values, in both streams: step_entropies sums floats in that order.
+    law, L = case
     total = sum(law.values())
-    if total:
-        assert step_entropies(cells, total) == step_entropies(reference, total)
+    for stream, cells in enumerate(prefix_cells(law, L)):
+        reference = _prefix_cells_per_pattern(law, stream, L)
+        assert [list(step.items()) for step in cells] == [list(step.items()) for step in reference]
+        if total:
+            assert step_entropies(cells, total) == step_entropies(reference, total)
 
 
 def _step_entropies_every_cell(cells, total):
@@ -259,7 +259,7 @@ def _integer_laws_with_certain_cells(draw):
 def test_step_entropies_skip_of_certain_cells_is_bit_identical(case):
     law, stream, L = case
     total = sum(law.values())
-    cells = prefix_cells(law, stream, L)
+    cells = prefix_cells(law, L)[stream]
     assert cells[1][1][1] == 0 and cells[2][0b01][1] == cells[2][0b01][0]
     want = _step_entropies_every_cell(cells, total)
     assert [h.hex() for h in step_entropies(cells, total)] == [h.hex() for h in want]
@@ -279,8 +279,7 @@ def test_step_entropies_skip_is_bit_identical_on_every_exact_law():
     certain = 0
     for K, B, L in ENUMERABLE_INTEGER_CASES:
         law, denominator = _lumped_law(K, compute_schedule(K, B, L).c_int)
-        for stream in (0, 1):
-            cells = prefix_cells(law, stream, L)
+        for cells in prefix_cells(law, L):
             certain += sum(ones in (0, mass) for step in cells for mass, ones in step.values())
             want = _step_entropies_every_cell(cells, denominator)
             got = step_entropies(cells, denominator)
