@@ -27,8 +27,8 @@ exact law's integer weights alike.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import log2
 
 # Input limits: past 2^53 beams K is not exact as a float (and past about
 # 1.8e308 it overflows one); at L = 1024 the prefix table lists 524 800 prefixes.
@@ -48,15 +48,12 @@ def binary_entropy(p: float) -> float:
         raise ValueError(f"binary_entropy: p={p!r} outside [0, 1]")
     if p == 0.0 or p == 1.0:
         return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return -p * log2(p) - (1.0 - p) * log2(1.0 - p)
 
 
 def pack_bits(bits) -> int:
     """Pack a bit sequence into an integer, step j (1-based) in bit j-1."""
-    packed = 0
-    for j, bit in enumerate(bits):
-        packed |= bit << j
-    return packed
+    return sum(bit << j for j, bit in enumerate(bits))
 
 
 def prefix_cells(law, L: int) -> tuple[list[dict[int, list]], list[dict[int, list]]]:
@@ -113,13 +110,17 @@ def step_entropies(cells: list[dict[int, list]], total) -> list[float]:
 
     Each step sums P(prefix) * h(P(Y_j = 1 | prefix)) over its cells, with
     P(prefix) = mass / ``total``; a cell with a certain next bit adds +0.0.
+    :func:`binary_entropy` is inlined, its p = 0 and p = 1 cases skipped too:
+    ``ones / mass`` may round to 0.0 or 1.0 although 0 < ones < mass.
     """
     out = []
     for step in cells:
         h = 0.0
         for mass, ones in step.values():
             if 0 < ones < mass:
-                h += float(mass / total) * binary_entropy(float(ones / mass))
+                p = float(ones / mass)
+                if 0.0 < p < 1.0:
+                    h += float(mass / total) * (-p * log2(p) - (1.0 - p) * log2(1.0 - p))
         out.append(h)
     return out
 
@@ -203,7 +204,7 @@ class ExplorationSchedule:
     @property
     def is_integral(self) -> bool:
         """True when every c_j is an exact integer."""
-        return all(cj == ij for cj, ij in zip(self.c, self.c_int))
+        return self.c == self.c_int
 
 
 def compute_schedule(K: int, B: float, L: int) -> ExplorationSchedule:

@@ -7,12 +7,14 @@ as exact ``fractions.Fraction`` probabilities, built on first access.
 Probes are uniform subsets of the pool, so beam labels are exchangeable: a
 state is the feedback so far, the pool size, the step of the first
 legitimate hit (0 while exploring) and where the eavesdropper sits
-(coincident, elsewhere in the pool, or outside it), and each step branches
-hypergeometrically.  Lumping is exact (Kemeny & Snell, *Finite Markov
-Chains*, 6.3).  The policy transition is re-implemented here on purpose —
-the law must stay independent of the simulator it is used to check.  The
-statistics of the law (prefix cells, step entropies) are not: they come from
-``model``, shared with the Monte Carlo estimators.
+(coincident, elsewhere in the pool, or outside it).  Each step branches a
+state hypergeometrically on which receivers the probe holds, written out as
+hit/miss branches for each place of the eavesdropper, whose order fixes the
+order of the law.  Lumping is exact (Kemeny & Snell, *Finite Markov Chains*,
+6.3).  The policy transition is re-implemented here on purpose — the law
+must stay independent of the simulator it is used to check.  The statistics
+of the law (prefix cells, step entropies) are not: they come from ``model``,
+shared with the Monte Carlo estimators.
 
 ``verify_against_closed_forms`` compares the exact law against the
 closed-form per-step entropies, every tabulated prefix mass/flip
@@ -27,10 +29,10 @@ schedule is built; anything larger is refused.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .bounds import T3_VARIANTS, closed_forms, prefix_probability_table
 from .model import ExplorationSchedule, binary_entropy, compute_schedule
@@ -52,60 +54,63 @@ def _lumped_law(K: int, c_int: tuple[int, ...]) -> tuple[dict, int]:
     """Joint law of packed (y_l, y_e) over len(c_int) uses, averaged over uniform receiver states.
 
     A probe takes q of the n pool beams: c_j while exploring, and after a
-    first hit at step det, c_det halved once per step since (at least 1).  It
-    holds the legitimate beam, always in the pool, with probability q/n, and
-    an eavesdropper elsewhere in the pool with probability (q - 1)/(n - 1)
-    after that hit or q/(n - 1) after a miss.  The next pool is the probe
-    after a hit and the rest after a miss; the eavesdropper stays in it only
-    when its bit equals the legitimate one.
+    first hit at step det, c_det halved once per step since (at least 1).
+    The next pool is the probe after a legitimate hit and the other m = n - q
+    beams after a miss.  A state branches by where the eavesdropper sits,
+    with these weights over n(n - 1) in the pool and over n otherwise:
 
-    Patterns are packed as by ``model.pack_bits``, step j in bit j-1, in the
-    states and the law's keys.  Weights are integers over one common
-    denominator D, returned with the law: each step brings every state to
-    the lcm of the step's branch denominators, n(n - 1) with an in-pool
-    eavesdropper and n otherwise, so the probabilities are exactly weight / D.
+    - coincident: both hit (q) or both miss (m);
+    - in the pool: both hit (q(q - 1)) and it stays in; only the legitimate
+      receiver hits (qm) or only the eavesdropper (mq), and it leaves; both
+      miss (m(m - 1)) and it stays in;
+    - outside the pool: the legitimate receiver hits (q) or misses (m).
+
+    The branches come in that order, which fixes the order of the law's keys,
+    and one of weight 0 is skipped: a kept state has n >= 2 with the
+    eavesdropper in the pool, n >= 1 otherwise, so no denominator is 0.
+    Patterns are packed as by ``model.pack_bits``, step j in bit j-1.  Each
+    step brings every weight to the lcm of the step's denominators, so all
+    share one denominator D, returned with the law: P = weight / D.
     """
-    frontier = {
-        (0, 0, K, 0, COINCIDENT): 1,
-        (0, 0, K, 0, IN_POOL): K - 1,
-    }
+    frontier = {(0, 0, K, 0, COINCIDENT): 1, (0, 0, K, 0, IN_POOL): K - 1}
     denominator = K
-    for j in range(1, len(c_int) + 1):
-        # Every kept state has n >= 2 with an in-pool eavesdropper (n >= 1
-        # otherwise): the zero-weight branches that would reach n = 1 with it
-        # in the pool, or n = 0, are skipped below.  A zero denominator would
-        # make the lcm, and so every weight, 0.
-        dens = {
-            (n, place): n * (n - 1) if place == IN_POOL else n
-            for _, _, n, _, place in frontier
-        }
-        scale = math.lcm(*dens.values())
+    for j, c in enumerate(c_int, 1):
+        scale = lcm(*{n * (n - 1) if place == IN_POOL else n for _, _, n, _, place in frontier})
         denominator *= scale
         step: dict = {}
+        get = step.get
         bit = 1 << (j - 1)
         for (yl, ye, n, det, place), w in frontier.items():
-            q = min(max(c_int[det - 1] >> (j - det), 1) if det else c_int[j - 1], n)
-            w *= scale // dens[n, place]
-            for bl, w_l in ((1, q), (0, n - q)):
-                if not w_l:
-                    continue
-                if place == IN_POOL:
-                    hits_e = q - bl
-                    eav = (
-                        (1, hits_e, IN_POOL if bl else OUT_OF_POOL),
-                        (0, n - 1 - hits_e, OUT_OF_POOL if bl else IN_POOL),
-                    )
-                else:
-                    eav = ((bl if place == COINCIDENT else 0, 1, place),)
-                for be, w_e, where in eav:
-                    if w_e:
-                        key = (yl | bl * bit, ye | be * bit, q if bl else n - q,
-                               det or bl * j, where)
-                        step[key] = step.get(key, 0) + w * w_l * w_e
+            q = (c_int[det - 1] >> (j - det) or 1) if det else c
+            if q > n:
+                q = n
+            m = n - q
+            hl, hd = yl | bit, det or j  # y_l and det after a hit
+            if place == IN_POOL:
+                w *= scale // (n * (n - 1))
+                if q > 1:
+                    key = hl, ye | bit, q, hd, IN_POOL
+                    step[key] = get(key, 0) + w * q * (q - 1)
+                if q and m:
+                    key = hl, ye, q, hd, OUT_OF_POOL
+                    step[key] = get(key, 0) + w * q * m
+                    key = yl, ye | bit, m, det, OUT_OF_POOL
+                    step[key] = get(key, 0) + w * m * q
+                if m > 1:
+                    key = yl, ye, m, det, IN_POOL
+                    step[key] = get(key, 0) + w * m * (m - 1)
+            else:
+                w *= scale // n
+                if q:
+                    key = hl, (ye | bit if place == COINCIDENT else ye), q, hd, place
+                    step[key] = get(key, 0) + w * q
+                if m:
+                    key = yl, ye, m, det, place
+                    step[key] = get(key, 0) + w * m
         frontier = step
     law: dict[tuple[int, int], int] = {}
-    for (yl, ye, *_), w in frontier.items():
-        law[(yl, ye)] = law.get((yl, ye), 0) + w
+    for (yl, ye, _, _, _), w in frontier.items():
+        law[yl, ye] = law.get((yl, ye), 0) + w
     return law, denominator
 
 
@@ -132,13 +137,8 @@ class EnumerationResult:
     mixed_mass_10 = property(lambda self: Fraction(self._mixed[0], self._denominator))
     mixed_mass_01 = property(lambda self: Fraction(self._mixed[1], self._denominator))
 
-    @property
-    def main_rate(self) -> float:
-        return left_sum(self.main_steps) / self.schedule.L
-
-    @property
-    def leakage(self) -> float:
-        return left_sum(self.leakage_steps) / self.schedule.L
+    main_rate = property(lambda self: left_sum(self.main_steps) / self.schedule.L)
+    leakage = property(lambda self: left_sum(self.leakage_steps) / self.schedule.L)
 
     def _eav_cell(self, j: int, prefix: tuple[int, ...]) -> tuple[int, int]:
         if not 1 <= j <= self.schedule.L or len(prefix) != j - 1:
@@ -173,36 +173,28 @@ def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
     main_cells, eav_cells = prefix_cells(weights, L)
 
     # Weight of eavesdropper hits at a step j after an earlier step with
-    # (y_l, y_e) = (1, 0), resp. (0, 1): bits of yl & ~ye, resp. ye & ~yl,
-    # below bit j.
+    # (y_l, y_e) = (1, 0), resp. (0, 1): each pattern adds its weight once per
+    # bit of ye above the lowest bit of yl & ~ye, resp. ye & ~yl.
     mixed = [0, 0]
     for (yl, ye), w in weights.items():
-        for j in range(1, L):
-            if ye >> j & 1:
-                mixed[0] += w if yl & ~ye & ((1 << j) - 1) else 0
-                mixed[1] += w if ye & ~yl & ((1 << j) - 1) else 0
+        if first := yl & ~ye:
+            mixed[0] += w * (ye & -((first & -first) << 1)).bit_count()
+        if first := ye & ~yl:
+            mixed[1] += w * (ye & -((first & -first) << 1)).bit_count()
 
-    return EnumerationResult(
-        schedule=sched,
-        main_steps=step_entropies(main_cells, denominator),
-        leakage_steps=step_entropies(eav_cells, denominator),
-        _weights=weights,
-        _denominator=denominator,
-        _eav_cells=eav_cells,
-        _mixed=tuple(mixed),
-    )
+    return EnumerationResult(sched, step_entropies(main_cells, denominator),
+                             step_entropies(eav_cells, denominator),
+                             weights, denominator, eav_cells, tuple(mixed))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReportRow:
     quantity: str
     closed: float
     oracle: float
     informational: bool = False
 
-    @property
-    def abs_dev(self) -> float:
-        return abs(self.closed - self.oracle)
+    abs_dev = property(lambda self: abs(self.closed - self.oracle))
 
 
 @dataclass
@@ -262,10 +254,7 @@ class VerificationReport:
         else:
             lines.append("t3_matching_variant=not_applicable (no deep prefixes for L <= 3)")
         if self.notes:
-            lines.append("")
-            lines.append("notes:")
-            for n in self.notes:
-                lines.append(f"- {n}")
+            lines += ["", "notes:", *(f"- {n}" for n in self.notes)]
         lines.append("")
         n_bad = len(self.failing())
         n_core = sum(1 for r in self.rows if not r.informational)
@@ -278,27 +267,36 @@ class VerificationReport:
 
 def _degeneracy_notes(sched: ExplorationSchedule, step_bad: bool, mass_bad: bool) -> list:
     notes = []
-    singleton_dets = [k for k in range(1, sched.L) if sched.c_int[k - 1] < 2 ** (sched.L - k)]
-    if singleton_dets and step_bad:
+    L, c_int = sched.L, sched.c_int
+    singleton_dets = [k for k in range(1, L) if c_int[k - 1] < 1 << (L - k)] if step_bad else []
+    if singleton_dets:
         notes.append(
-            "detection at step(s) %s narrows the probe set to a single beam "
-            "inside the block; probing then becomes deterministic, while the "
-            "closed-form per-step entropies assume an even split at every "
-            "depth" % singleton_dets
+            "detection at step(s) %s narrows the probe set to a single beam inside the block; "
+            "probing then becomes deterministic, while the closed-form per-step entropies "
+            "assume an even split at every depth" % singleton_dets
         )
     if mass_bad:
         notes.append(
-            "exploration stops once the legitimate beam is detected, so long "
-            "all-zero eavesdropper prefixes are more likely than the "
-            "closed-form masses, which assume exploration continues for the "
-            "full block"
+            "exploration stops once the legitimate beam is detected, so long all-zero "
+            "eavesdropper prefixes are more likely than the closed-form masses, which assume "
+            "exploration continues for the full block"
         )
-    if any(c == 1 for c in sched.c_int[:-1]):
+    if 1 in c_int[:-1]:
         notes.append(
             "schedule entries equal to 1 cannot be halved after detection; "
             "closed-form 1/2 factors do not describe those steps"
         )
     return notes
+
+
+# Each prefix 0^k 1^(j-1-k) the closed-form table lists, in (j, k) order: its
+# key (j, k), packed bits and row names; the first L(L + 1)/2 serve L uses.
+_PREFIX_ROWS = [
+    (j, k, ((1 << (j - 1 - k)) - 1) << k, f"prefix_mass_j{j}_p{p}", f"prefix_flip_j{j}_p{p}")
+    for j in range(1, MAX_L + 1)
+    for k in range(j)
+    for p in ["0" * k + "1" * (j - 1 - k) or "empty"]
+]
 
 
 def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
@@ -309,53 +307,54 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
     exact deep-prefix contribution (within ``TOL``).
     """
     enum = exact_enumeration(K, B, L)
-    sched = enum.schedule
+    sched, cells, denominator = enum.schedule, enum._eav_cells, enum._denominator
     rows: list[ReportRow] = []
     step_bad = mass_bad = False
 
     # The T3 variants differ only on the deep prefixes 0^k 1^(j-1-k), k >= 1,
     # post-detection entries that first occur at j = 4.
-    t3 = T3Adjudication(applicable=L >= 4)
-    variants = T3_VARIANTS if t3.applicable else T3_VARIANTS[:1]
-    closed = {v: closed_forms(sched, v) for v in variants}
-    tables = {v: prefix_probability_table(sched, t3_variant=v) for v in variants}
-    for j, (step, exact) in enumerate(zip(closed["as_printed"].main_steps, enum.main_steps), 1):
+    applicable = L >= 4
+    variants = T3_VARIANTS if applicable else T3_VARIANTS[:1]
+    closed = [closed_forms(sched, v) for v in variants]
+    tables = [prefix_probability_table(sched, t3_variant=v) for v in variants]
+    for j, (step, exact) in enumerate(zip(closed[0].main_steps, enum.main_steps), 1):
         rows.append(ReportRow(f"main_step_entropy_j{j}", step, exact))
-        step_bad = step_bad or rows[-1].abs_dev > TOL
-    ends = {v: pt.prefix(L)[:2] for v, pt in closed.items()}  # (outer, leakage) at L uses
+        step_bad = step_bad or abs(step - exact) > TOL
     if L >= 2:
-        rows.append(ReportRow("outer_bound", ends["as_printed"][0], enum.main_rate))
+        rows.append(ReportRow("outer_bound", closed[0].prefix(L)[0], enum.main_rate))
 
-    deep_closed = dict.fromkeys(tables, 0.0)
-    for (j, k), e in sorted(tables["as_printed"].items()):
-        label = "0" * k + "1" * (j - 1 - k) or "empty"
+    deep, oracle_value = [], 0.0
+    for j, k, prefix, mass_name, flip_name in _PREFIX_ROWS[: L * (L + 1) // 2]:
+        e = tables[0][j, k]
         informational = j - 1 - k >= 2  # post-detection: two or more trailing ones
         # int / int rounds correctly, so each value is float() of the Fraction.
-        weight, ones = enum._eav_cells[j - 1].get(((1 << (j - 1 - k)) - 1) << k, (0, 0))
-        mass = weight / enum._denominator
-        rows.append(ReportRow(f"prefix_mass_j{j}_p{label}", e.mass, mass, informational))
-        mass_bad = mass_bad or (not informational and rows[-1].abs_dev > TOL)
+        weight, ones = cells[j - 1].get(prefix, (0, 0))
+        mass = weight / denominator
+        rows.append(ReportRow(mass_name, e.mass, mass, informational))
+        mass_bad = mass_bad or (not informational and abs(e.mass - mass) > TOL)
         if weight:
             flip = ones / weight
-            rows.append(ReportRow(f"prefix_flip_j{j}_p{label}", e.flip, flip))
+            rows.append(ReportRow(flip_name, e.flip, flip))
         if informational and k >= 1:
+            deep.append((j, k))
             if weight:
-                t3.oracle_value += mass * binary_entropy(flip)
-            # Deep flips are 1/2 and H(1/2) = 1, so each adds its mass.
-            for v, entries in tables.items():
-                deep_closed[v] += entries[j, k].mass
-    for name, mixed in zip(("10", "01"), enum._mixed):
-        rows.append(ReportRow(f"flip_mass_after_joint_{name}", 0.0, mixed / enum._denominator))
+                oracle_value += mass * binary_entropy(flip)
+    rows.append(ReportRow("flip_mass_after_joint_10", 0.0, enum._mixed[0] / denominator))
+    rows.append(ReportRow("flip_mass_after_joint_01", 0.0, enum._mixed[1] / denominator))
 
-    for variant, (_, leak) in ends.items():  # the variants coincide for L <= 3
-        name = f"leakage_rate[t3={variant}]" if t3.applicable else "leakage_rate"
-        rows.append(ReportRow(name, leak, enum.leakage, informational=t3.applicable))
+    leakage = enum.leakage
+    for variant, pt in zip(variants, closed):  # the variants coincide for L <= 3
+        name = f"leakage_rate[t3={variant}]" if applicable else "leakage_rate"
+        rows.append(ReportRow(name, pt.prefix(L)[1], leakage, applicable))
 
-    if t3.applicable:
-        t3.variant_values = deep_closed
-        devs = {v: abs(val - t3.oracle_value) for v, val in t3.variant_values.items()}
-        t3.matching = [v for v, d in devs.items() if d <= TOL]
-        t3.closest = min(devs, key=devs.get)
+    if applicable:
+        # Deep flips are 1/2 and H(1/2) = 1, so each adds its mass.
+        values = {v: left_sum(table[jk].mass for jk in deep) for v, table in zip(variants, tables)}
+        devs = {v: abs(value - oracle_value) for v, value in values.items()}
+        matching = [v for v, dev in devs.items() if dev <= TOL]
+        t3 = T3Adjudication(True, oracle_value, values, matching, min(devs, key=devs.get))
+    else:
+        t3 = T3Adjudication(False)
 
     notes = _degeneracy_notes(sched, step_bad, mass_bad)
     if not sched.is_integral:

@@ -311,6 +311,25 @@ def test_simulate_zero_stderr_z_takes_the_sign_of_the_gap(capsys, argv, lines):
         assert " stderr=0 " in line and line.endswith(" z=-inf"), line
 
 
+@pytest.mark.usefixtures("compensated_sum")
+def test_simulate_closed_main_rate_is_a_left_to_right_sum(capsys, monkeypatch):
+    # At (16, 3, 3) the main steps added left to right give 0.8142469383147161
+    # per use, a compensated sum 0.814246938314716.  An estimate equal to the
+    # first with stderr 0 shows a gap of one ulp as z=-inf.
+    real = cli.estimate_rates
+
+    def exact_main(*args, **kwargs):
+        _, leak, stats = real(*args, **kwargs)
+        return estimators.RateEstimate(0.8142469383147161, 0.0), leak, stats
+
+    monkeypatch.setattr(cli, "estimate_rates", exact_main)
+    rc, out, _ = run(capsys, "simulate", "--K", "16", "--B", "3", "--L", "3", "--blocks", "20")
+    assert rc == 0
+    assert out.splitlines()[1] == (
+        "main_rate estimate=0.8142469383 stderr=0 closed=0.8142469383 z=+0.000"
+    )
+
+
 def test_simulate_single_use_compares_with_the_main_entropy_rate(capsys):
     # At L = 1 the outer bound is 0, but the main rate is still H(1/4).
     rc, out, _ = run(

@@ -265,6 +265,25 @@ def test_step_entropies_skip_of_certain_cells_is_bit_identical(case):
     assert [h.hex() for h in step_entropies(cells, total)] == [h.hex() for h in want]
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        {(0, 0): 1, (0, 1): 2**54 - 1},  # ones / mass rounds to 1.0
+        {(0, 0): Fraction(1, 2**54), (0, 1): 1 - Fraction(1, 2**54)},
+        {(0, 0): 2**1100, (0, 1): 1},  # ones / mass underflows to 0.0
+    ],
+)
+def test_step_entropies_take_a_ratio_rounded_to_certainty_as_certain(law):
+    # 0 < ones < mass, yet float(ones / mass) is certain: the cell adds +0.0,
+    # as binary_entropy's p = 0 and p = 1 cases give, and log2(0) is never taken.
+    total = sum(law.values())
+    main, eav = prefix_cells(law, 1)
+    mass, ones = eav[0][0]
+    assert 0 < ones < mass and float(ones / mass) in (0.0, 1.0)
+    for cells in (main, eav):
+        assert step_entropies(cells, total) == _step_entropies_every_cell(cells, total) == [0.0]
+
+
 ENUMERABLE_INTEGER_CASES = [
     (K, B, L)
     for K in range(2, MAX_K + 1)

@@ -2,7 +2,7 @@
 
 ``bench/spans.py`` wraps module attributes by name; a renamed or deleted one
 makes every traced benchmark run fail.  This loads the module, checks each
-name, and runs a small traced sweep and a small traced Monte Carlo run.
+name, and runs a small traced sweep, Monte Carlo run and exact verification.
 """
 
 import importlib.util
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bbp_secrecy import cli, estimators
+from bbp_secrecy import cli, estimators, oracle
 from bbp_secrecy.channel import block_seeds, simulate_block
 from bbp_secrecy.model import ModelConfig, compute_schedule
 
@@ -75,3 +75,21 @@ def test_traced_monte_carlo_records_every_block_and_probe(spans):
     blocks = [simulate_block(sched, random.Random(w)) for w in block_seeds(7, 0, 40)]
     assert summary["channel.jcas_step"]["count"] == sum(p.card for t in blocks for p in t.probes)
     assert summary["estimators.estimate_rates"]["count"] == len({t.pattern for t in blocks})
+
+
+@pytest.mark.parametrize("K,B,L", [(4, 1, 2), (8, 2, 3), (8, 2, 4)])
+def test_traced_verify_records_every_exact_verify_layer(spans, K, B, L):
+    # The exact_verify workload's layer metrics divide by these spans' calls;
+    # verify must reach each layer through oracle's module attributes.
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        oracle.verify_against_closed_forms(K, B, L)
+    finally:
+        tracer.uninstall()
+    calls = {name: totals["calls"] for name, totals in tracer.summary().items()}
+    assert calls["oracle.verify_against_closed_forms"] == 1
+    assert calls["oracle.exact_enumeration"] == 1
+    # One closed-form table per T3 variant compared: both from L = 4 on.
+    assert calls["bounds.prefix_probability_table"] >= (2 if L == 4 else 1)
+    assert calls["model.compute_schedule"] >= 1
