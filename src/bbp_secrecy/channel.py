@@ -31,13 +31,13 @@ blocks are partitioned across workers.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, NamedTuple
 
 from .model import ExplorationSchedule
+
+_new = tuple.__new__  # skips a NamedTuple's generated __new__, about 0.3 us a call
 
 
 class BeamSet(NamedTuple):
@@ -85,8 +85,7 @@ class PolicyState(NamedTuple):
     clamp_count: int = 0
 
 
-@dataclass(slots=True)
-class BlockTranscript:
+class BlockTranscript(NamedTuple):
     """Everything observable about one simulated block.
 
     ``pattern`` is the only copy of the feedback: (y_l, y_e) packed with step
@@ -112,7 +111,7 @@ class BlockTranscript:
 
 
 def initial_policy_state(K: int) -> PolicyState:
-    return PolicyState(range(1, K + 1), [], None, 1)
+    return _new(PolicyState, (range(1, K + 1), [], None, 1, 0))
 
 
 # SeedSequence constants (M. E. O'Neill, "Developing a seed_seq Alternative", 2015).
@@ -177,13 +176,12 @@ def draw_states(K: int, rng: random.Random) -> tuple[int, int]:
 def _sample(getrandbits, pool: list[int] | range, q: int) -> tuple[list[int], list[int]]:
     """Replay ``Random.sample(pool, q)`` on ``getrandbits``: picks and sorted rest.
 
-    CPython 3.10-3.13's two branches and set-size rule (4^ceil(log4(3q)), here
-    from integers), with each index drawn by ``getrandbits`` rejection below
-    its range, as ``_randbelow`` does."""
+    CPython 3.10-3.13's two branches and set size (21, plus 4^ceil(log4(3q))
+    from integers if q > 5: no pool of 21 or fewer needs it), with each index
+    drawn by ``getrandbits`` rejection below its range, as ``_randbelow`` does."""
     n = len(pool)
-    picked = []
-    setsize = 21 + (4 ** (((3 * q - 1).bit_length() + 1) >> 1) if q > 5 else 0)
-    if n <= setsize:
+    if n <= 21 or q > 5 and n <= 21 + 4 ** (((3 * q - 1).bit_length() + 1) >> 1):
+        picked = []
         rest = list(pool)
         for m in range(n, n - q, -1):
             k = m.bit_length()
@@ -192,7 +190,8 @@ def _sample(getrandbits, pool: list[int] | range, q: int) -> tuple[list[int], li
                 i = getrandbits(k)
             picked.append(rest[i])
             rest[i] = rest[m - 1]
-        rest = sorted(rest[: n - q])
+        del rest[n - q :]
+        rest.sort()
     else:
         # Index i is taken the first time it is drawn below n (dict: draw order).
         k = n.bit_length()
@@ -216,10 +215,7 @@ def jcas_step(
 
     The policy reads only the legitimate feedback ``y_prev`` (0 before step
     1), so the eavesdropper's feedback cannot influence the probe sequence.
-
-    Returns
-    -------
-    (probe, next_state)
+    Returns (probe, next_state).
     """
     pool, probed, det, j, clamp = state
 
@@ -233,15 +229,13 @@ def jcas_step(
             det = j - 1
         if y_prev:
             pool = sorted(probed)
-        q = max(schedule.c_int[det - 1] >> (j - det), 1)
+        q = schedule.c_int[det - 1] >> (j - det) or 1
 
     if q > len(pool):
         q = len(pool)
         clamp += 1
     picked, rest = _sample(rng.getrandbits, pool, q)
-    # tuple.__new__ skips the generated NamedTuple __new__, about 0.3 us a call.
-    probe = tuple.__new__(BeamSet, (picked, q))
-    return probe, tuple.__new__(PolicyState, (rest, picked, det, j + 1, clamp))
+    return _new(BeamSet, (picked, q)), _new(PolicyState, (rest, picked, det, j + 1, clamp))
 
 
 def simulate_block(
@@ -255,25 +249,29 @@ def simulate_block(
     K, the budget B and the block length L are read from ``schedule``.
     ``s_l`` / ``s_e`` override the drawn states (used by replay tests); the
     states are drawn from ``rng`` regardless so that the probe-choice stream
-    is unchanged by an override.
+    is unchanged by an override.  ``jcas_step`` is looked up once per block,
+    so a wrapper installed before the call sees every step.
     """
     drawn_l, drawn_e = draw_states(schedule.K, rng)
     s_l = drawn_l if s_l is None else s_l
     s_e = drawn_e if s_e is None else s_e
 
-    budget = int(math.floor(schedule.B))
+    budget = int(schedule.B)  # B > 0, so this is the floor
     state = initial_policy_state(schedule.K)
+    step = jcas_step
     yl = 0  # no feedback before step 1
     packed_l = packed_e = 0
     probes = []
     cost_ok = True
     for j in range(schedule.L):
-        probe, state = jcas_step(state, yl, schedule, rng)
+        probe, state = step(state, yl, schedule, rng)
         beams, card = probe
         if card > budget:
             cost_ok = False
         yl = s_l in beams  # q comparisons, cheaper than a K-bit mask per probe
         packed_l |= yl << j
-        packed_e |= (s_e in beams) << j
+        if s_e in beams:
+            packed_e |= 1 << j
         probes.append(probe)
-    return BlockTranscript(s_l, s_e, probes, (packed_l, packed_e), cost_ok, state.clamp_count)
+    transcript = (s_l, s_e, probes, (packed_l, packed_e), cost_ok, state.clamp_count)
+    return _new(BlockTranscript, transcript)

@@ -109,10 +109,11 @@ def _collect_range(
     )
     budget_violations = 0
     clamps = 0
-    rng = random.Random()  # seed(word) resets it all: the stream of Random(word)
+    rng = random.Random()  # reseed(word) leaves Random(word)'s state; no gauss is drawn
+    reseed = super(random.Random, rng).seed  # Random.seed minus type checks and gauss reset
     with open(dump_path, "w", encoding="utf-8") if dump_path else nullcontext() as dump:
         for i, word in enumerate(block_seeds(config.seed, start, stop), start):
-            rng.seed(word)
+            reseed(word)
             t = simulate_block(schedule, rng)
             stats.group_counts[i * groups // total][t.pattern] += 1
             if not t.cost_ok:

@@ -1,3 +1,5 @@
+import _random
+import hashlib
 import math
 import os
 import random
@@ -210,6 +212,21 @@ def test_prefix_stats_rejects_a_step_outside_the_block(j):
         stats.prefix_stats(1, j)
 
 
+@pytest.mark.parametrize("word", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_c_level_reseed_leaves_a_fresh_generator(word):
+    # _collect_range reseeds its one generator with the C seed that
+    # Random.seed ends in, skipping its type checks and gauss reset; for int
+    # words that must leave exactly the state of Random(word).
+    rng = random.Random()
+    for w in [word, *block_seeds(5, 0, 100)]:
+        rng.random()
+        _random.Random.seed(rng, w)
+        assert rng.getstate() == random.Random(w).getstate()
+        rng.random()
+        super(random.Random, rng).seed(w)
+        assert rng.getstate() == random.Random(w).getstate()
+
+
 PINNED_RATES = [
     (32, 8, 5, 2500, ("0x1.ca163530e00f3p-1", "0x1.a394dba11496bp-9",
                       "0x1.1a02ed96deb69p-1", "0x1.6e56a854f7540p-8")),
@@ -232,3 +249,25 @@ def test_rate_estimates_do_not_depend_on_a_compensated_sum(K, B, L, blocks, want
     # From Python 3.12 sum() of floats is compensated; the step entropies are
     # added left to right, so the pinned bits hold there too.
     test_rate_estimates_pinned_bit_for_bit(K, B, L, blocks, want)
+
+
+# SHA-256 over the pattern counts in order, each batch-means group's counts in
+# order, and both estimates and standard errors by float.hex(), at seed 7.
+# Count order fixes the order of every float sum, so a change to the block
+# loop that reorders counts changes this digest even when the rates agree.
+COUNTING_DIGESTS = [
+    ((32, 8, 5, 2500), "a90e4a22dc705fde72f64282ad5bcd077dc0aaf53c4ca2116ecb59d5272a8cae"),
+    ((256, 16, 12, 1000), "c39f73c8e4cbbe7027a1631024a2d188ad7663bf30c9741e908db7a3c92f6bb2"),
+]
+
+
+@pytest.mark.parametrize("instance,digest", COUNTING_DIGESTS, ids=["acceptance", "wide"])
+def test_counting_path_matches_golden_digest(instance, digest):
+    K, B, L, blocks = instance
+    main, leak, stats = estimate_rates(ModelConfig(K=K, L=L, B=B, seed=7, blocks=blocks), workers=1)
+    h = hashlib.sha256(repr(list(stats.pattern_counts.items())).encode())
+    for counts in stats.group_counts:
+        h.update(repr(list(counts.items())).encode())
+    for r in (main, leak):
+        h.update(f"{r.value.hex()} {r.stderr.hex()}".encode())
+    assert h.hexdigest() == digest

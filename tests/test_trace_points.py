@@ -57,10 +57,10 @@ def test_traced_sweep_records_every_bound_grid_layer(spans, tmp_path, capsys):
     assert calls["model.compute_schedule"] >= 1
 
 
-def test_traced_monte_carlo_records_every_block_and_probe(spans):
+def _check_traced_monte_carlo(spans, K, B, L, blocks):
     # The Monte Carlo workloads' layer metrics divide by these spans' calls
     # and counts; the jcas_step count reads the probe's card.
-    config = ModelConfig(K=32, L=5, B=8, seed=7, blocks=40)
+    config = ModelConfig(K=K, L=L, B=B, seed=7, blocks=blocks)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -68,13 +68,22 @@ def test_traced_monte_carlo_records_every_block_and_probe(spans):
     finally:
         tracer.uninstall()
     summary = tracer.summary()
-    assert summary["channel.simulate_block"]["calls"] == 40
-    assert summary["channel.jcas_step"]["calls"] == 40 * 5
+    assert summary["channel.simulate_block"]["calls"] == blocks
+    assert summary["channel.jcas_step"]["calls"] == blocks * L
 
-    sched = compute_schedule(32, 8, 5)
-    blocks = [simulate_block(sched, random.Random(w)) for w in block_seeds(7, 0, 40)]
-    assert summary["channel.jcas_step"]["count"] == sum(p.card for t in blocks for p in t.probes)
-    assert summary["estimators.estimate_rates"]["count"] == len({t.pattern for t in blocks})
+    sched = compute_schedule(K, B, L)
+    replay = [simulate_block(sched, random.Random(w)) for w in block_seeds(7, 0, blocks)]
+    assert summary["channel.jcas_step"]["count"] == sum(p.card for t in replay for p in t.probes)
+    assert summary["estimators.estimate_rates"]["count"] == len({t.pattern for t in replay})
+
+
+def test_traced_monte_carlo_records_every_block_and_probe(spans):
+    _check_traced_monte_carlo(spans, 32, 8, 5, 40)
+
+
+def test_traced_wide_monte_carlo_records_every_block_and_probe(spans):
+    # Pools of 256 beams take the sampler's set branch, which (32, 8, 5) never reaches.
+    _check_traced_monte_carlo(spans, 256, 16, 12, 40)
 
 
 @pytest.mark.parametrize("K,B,L", [(4, 1, 2), (8, 2, 3), (8, 2, 4)])
