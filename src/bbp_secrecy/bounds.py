@@ -63,9 +63,8 @@ from .model import MAX_USES, ExplorationSchedule, compute_schedule
 
 T3_VARIANTS = ("as_printed", "state_summed")
 
-# half[m] = (1/2)^(2m+1) for every m a block can reach, and the same backwards.
+# half[m] = (1/2)^(2m+1) for every m a block can reach.
 _HALF = [0.5**e for e in range(1, 2 * MAX_USES, 2)]
-_HALF_DOWN = _HALF[::-1]
 _H_QUARTER = -0.25 * log2(0.25) - (1.0 - 0.25) * log2(1.0 - 0.25)
 
 
@@ -86,13 +85,13 @@ class BoundPoint(NamedTuple):
 
     def prefix(self, l: int) -> tuple[float, float, float, float]:
         """(outer, leakage, inner_raw, inner) over the first l uses, 1 <= l <= L."""
-        if not 1 <= l <= self.schedule.L:
-            raise ValueError(f"block length must be in 1..{self.schedule.L}, got {l}")
+        if not 1 <= l <= len(self.main_totals):
+            raise ValueError(f"block length must be in 1..{len(self.main_totals)}, got {l}")
         # A single use leaves no room for a secret message: the outer bound is 0.
         outer = self.main_totals[l - 1] / l if l > 1 else 0.0
         leak = self.leakage_totals[l - 1] / l
         raw = outer - leak
-        return outer, leak, raw, max(0.0, raw)
+        return outer, leak, raw, raw if raw > 0.0 else 0.0
 
     outer = property(lambda self: self.prefix(self.schedule.L)[0])
     leakage = property(lambda self: self.prefix(self.schedule.L)[1])
@@ -159,10 +158,11 @@ def closed_forms(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> 
     times the rate at l uses, with the T3 coefficient ``t3_variant`` names.
     """
     div = _t3_divisor(sched, t3_variant)
-    K = sched.K
-    K2 = K**2
+    K = float(sched.K)  # an int operand converts to the same float in each operation
+    K2 = float(sched.K**2)
     deep = [cj**2 / K2 / div for cj in sched.c[1:]]
     main, main_totals, totals = [], [], []
+    add_main, add_main_total, add_total = main.append, main_totals.append, totals.append
     main_total = total = c_prev = rem_prev = p_prev = q = 0.0
     p1 = h1 = -1.0  # the last T1 share c/K and its entropy
     start = 0  # deep[:start] lie below q, a quarter-ulp of a long block's total at j = 4
@@ -174,25 +174,27 @@ def closed_forms(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> 
         p = cj / rem if rem else 0.0
         h = 1.0 if p == 0.5 else -p * log2(p) - (1.0 - p) * log2(1.0 - p) if p else 0.0
         m = w * h + cumr / K
-        main.append(m)
+        add_main(m)
         main_total += m
-        main_totals.append(main_total)
-        if cj / K != p1:
-            p1 = cj / K
+        add_main_total(main_total)
+        pk = cj / K
+        if pk != p1:
+            p1 = pk
             h1 = -p1 * log2(p1) - (1.0 - p1) * log2(1.0 - p1) if p1 else 0.0
         total += w * h1
         if j >= 2:  # the T2 share is half the step before's main share
             p2 = 0.5 * p_prev
             h = _H_QUARTER if p2 == 0.25 else -p2 * log2(p2) - (1.0 - p2) * log2(1.0 - p2) if p2 else 0.0
             total += (c_prev * rem_prev / K2) * h
-        if j == 4 and sched.L > 16:
-            q = ulp(total) / 4
-        while start < j - 3 and deep[start] * _HALF[j - 4 - start] < q:
-            start += 1
-        # H(1/2) = 1, so deep prefixes contribute their mass directly.
-        for d, h in zip(deep[start : j - 3], _HALF_DOWN[MAX_USES - j + 3 + start :]):
-            total += d * h
-        totals.append(total)
+        if j >= 4:  # deep prefixes, two or more trailing ones, start at step 4
+            if j == 4 and sched.L > 16:
+                q = ulp(total) / 4
+            while start < j - 3 and deep[start] * _HALF[j - 4 - start] < q:
+                start += 1
+            # H(1/2) = 1, so deep prefixes contribute their mass directly.
+            for k in range(start, j - 3):
+                total += deep[k] * _HALF[j - 4 - k]
+        add_total(total)
         c_prev, rem_prev, p_prev = cj, rem, p
     return BoundPoint(sched, main, main_totals, totals)
 

@@ -105,25 +105,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # One pass per effective budget min(B, K/2) at the longest L gives every
     # row of that budget: c_j <= K/2, so every B >= K/2 has the same schedule,
     # and the recursion runs forward, so every shorter L is a prefix of the
-    # pass.  Rows are written L-major, as they are listed.
-    rows = {f"{args.K},{L},": [] for L in L_values}  # "K,L," head -> rows
+    # pass.  Rows are written L-major, as they are listed, a column per L.
     tails = {}  # effective budget -> ",outer,leakage,inner_raw,inner\n" per L
+    b_rows = []  # (B text, its budget's tails) per B
     for B in b_grid:
         b_eff = min(B, args.K / 2)
-        if b_eff not in tails:
+        tail = tails.get(b_eff)
+        if tail is None:
             pt = bound_point(args.K, b_eff, L_values[-1])
             tails[b_eff] = tail = []
             for L in L_values:  # inner = max(0.0, raw), so its text is raw's or "0.0"
                 outer, leak, raw, _ = pt.prefix(L)
                 text = repr(raw)
                 tail.append(f",{outer!r},{leak!r},{text},{text if raw > 0.0 else '0.0'}\n")
-        b_text = _fmt_b(B)
-        for (head, col), tail in zip(rows.items(), tails[b_eff]):
-            col.append(head + b_text + tail)
+        b_rows.append((_fmt_b(B), tail))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("K,L,B,outer,leakage,inner_raw,inner\n")
-        for col in rows.values():
-            fh.writelines(col)
+        for i, L in enumerate(L_values):
+            head = f"{args.K},{L},"
+            fh.writelines([head + b_text + tail[i] for b_text, tail in b_rows])
     print(f"wrote {n_b * len(L_values)} rows to {args.out}")
     return EXIT_OK
 
@@ -189,13 +189,18 @@ def build_parser() -> _Parser:
 
     No option is argparse-required, so that a ``--config`` file may supply
     K/B/L; ``main`` checks a subcommand's ``_required`` options after the
-    file is merged.
+    file is merged.  The terminal width is read once, as ``HelpFormatter``
+    reads it, instead of once per formatter argparse builds.
     """
-    parser = _Parser(prog="bbp-secrecy", description=__doc__.split("\n")[0])
+    import shutil
+    from functools import partial
+
+    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="bbp-secrecy", description=__doc__.split("\n")[0], formatter_class=fmt)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, func, summary, point=True):
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, formatter_class=fmt)
         if point:
             p.add_argument("--K", type=int, help="number of beams")
             p.add_argument("--B", type=float, help="per-symbol cost budget")

@@ -218,14 +218,15 @@ def compute_schedule(K: int, B: float, L: int) -> ExplorationSchedule:
     check_instance(K, B, L)
     c: list[float] = []
     cum: list[float] = []
+    add_c, add_cum = c.append, cum.append
     total = 0.0
     Bf = float(B)
     for _ in range(L):
         cj = (K - total) / 2.0
         if Bf < cj:
             cj = Bf
-        c.append(cj)
+        add_c(cj)
         total += cj
-        cum.append(total)
+        add_cum(total)
     c_int = tuple(map(int, c))  # every c_j >= 0, so int() is floor()
     return ExplorationSchedule(K, Bf, tuple(c), c_int, tuple(cum))

@@ -159,7 +159,9 @@ def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
     The law is that of the floored schedule ``c_int``, as simulated.  The
     statistics run on the chain's integer weights over their common
     denominator; ``int / int`` rounds correctly, as ``float(Fraction)`` does,
-    and only the returned masses become ``Fraction``.
+    and only the returned masses become ``Fraction``.  The mixed weights of the
+    ``flip_mass_after_joint_*`` rows are 0 on every law of the policy: an
+    eavesdropper whose bit differs from the legitimate one leaves the pool for good.
 
     Raises
     ------
@@ -172,9 +174,8 @@ def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
     weights, denominator = _lumped_law(K, sched.c_int)
     main_cells, eav_cells = prefix_cells(weights, L)
 
-    # Weight of eavesdropper hits at a step j after an earlier step with
-    # (y_l, y_e) = (1, 0), resp. (0, 1): each pattern adds its weight once per
-    # bit of ye above the lowest bit of yl & ~ye, resp. ye & ~yl.
+    # Eavesdropper hits after a first (y_l, y_e) = (1, 0), resp. (0, 1), step: a pattern's
+    # weight once per bit of ye above the lowest bit of yl & ~ye, resp. ye & ~yl.
     mixed = [0, 0]
     for (yl, ye), w in weights.items():
         if first := yl & ~ye:

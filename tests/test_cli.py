@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shutil
 import string
 import subprocess
 import sys
@@ -75,6 +76,21 @@ SWEEP_DIGESTS = [
         ("--K", "1024", "--L", "2,4,8,16,32", "--B-start", "0.5", "--B-step", "0.5"),
         "e2c403f10246ced0967fc4b1d4963ead54439f816f30ef74efaa51b8b7695efc",
     ),
+    # The benchmark's grid shapes: B values that print through repr, and a
+    # saturated range (every B >= K/2) whose 1 280 rows share one pass.
+    (
+        ("--K", "64", "--L", "2,4,8,16,32", "--B-start", "0.2890625", "--B-step", "0.5"),
+        "d333a0f0118b07e36b3806039dd97e2ab66fb1a6d869a8bf078c3bfc4d7d01c3",
+    ),
+    (
+        ("--K", "256", "--L", "2,4,8,16,32", "--B-start", "0.2890625", "--B-step", "0.5"),
+        "3cbb47e22b697120069788c2e1341b49a1d9772f782586355bbf476266a84fc1",
+    ),
+    (
+        ("--K", "256", "--L", "2,4,8,16,32", "--B-start", "128.2890625",
+         "--B-stop", "255.7890625", "--B-step", "0.5"),
+        "8eaf9203381ec31207f5a83f2b28b360ee8e42a4c431324094c3a8f67b37ecb0",
+    ),
 ]
 
 
@@ -94,6 +110,47 @@ def test_frozen_outputs_do_not_depend_on_a_compensated_sum(tmp_path, capsys):
     for flags, digest in SWEEP_DIGESTS:
         test_sweep_csv_bytes_frozen(tmp_path, capsys, flags, digest)
     test_simulate_output_frozen(capsys)
+
+
+HELP_DIGESTS = {
+    ("60", ()): "fa2907bd296ea2746fcd277d71645483d41230ab3541219d84c48c15634cb0cd",
+    ("60", ("bounds",)): "ba2b44cd3a252f2e47bda204d2317a029fd4799320ee90b35c2d1ebc234c61c4",
+    ("60", ("sweep",)): "fe0e4796781317671d3e3bc328e3854da24819029fba8b65de7a81b93360714f",
+    ("60", ("simulate",)): "2923426862e08df4397a91417c3119a4e13784227320d9a9ffca11af5c7beafd",
+    ("60", ("verify",)): "2455772a5e5cf45308bfad938ff7f6b9672d36e5e0438406acc9d0ea9fdc1fcf",
+    ("200", ()): "4eca1bde7e777e9b7de88307d90bd784d2c93587135401403ceb7f1b60ae2922",
+    ("200", ("bounds",)): "4535690d9a1a1396d6f1fb680bbc66010fc2944c4c194ee9ed192ebd0b83f68a",
+    ("200", ("sweep",)): "02364376388dc61c99e02a6de8b964d2fe21fe5345c340f97ae525fe06a008ac",
+    ("200", ("simulate",)): "f4d12616a635219fb544cea7c11dce1cd0a2fb91c903072bac44306db9e17457",
+    ("200", ("verify",)): "5ec0dd110ac14b9700da1ef1d267bde3af02d9846f9c205c5e6eeaccfea846ea",
+}
+
+
+@pytest.mark.parametrize("columns,command", HELP_DIGESTS)
+def test_help_text_frozen(monkeypatch, capsys, columns, command):
+    # The help text wraps at the terminal width, which COLUMNS sets.
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[columns, command]
+
+
+def test_parser_queries_the_terminal_once(monkeypatch, capsys):
+    # argparse's default formatter asks for the terminal size each time it is
+    # built, which adding an option does; build_parser asks once.
+    calls = []
+    real = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    assert cli.main(["bounds", "--K", "32", "--B", "8", "--L", "5"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_sweep_custom_grid(tmp_path, capsys):

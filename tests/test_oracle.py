@@ -148,6 +148,38 @@ def test_verify_reports_are_frozen():
     assert enum.prefix_mass(3, (0, 1)) == 0 and enum.prefix_flip(3, (0, 1)) is None
 
 
+def test_mixed_weights_are_zero_on_every_enumerable_case():
+    # An eavesdropper whose bit differs from the legitimate one leaves the pool
+    # and is never probed again, so no law has a hit after a mixed step.
+    assert all(exact_enumeration(*case)._mixed == (0, 0) for case in ENUMERABLE_CASES)
+
+
+def _mixed_by_steps(law, L):
+    """Weight of eavesdropper hits after a first (1, 0), resp. (0, 1), step, step by step."""
+    mixed = [0, 0]
+    for (yl, ye), w in law.items():
+        bits = [(yl >> i & 1, ye >> i & 1) for i in range(L)]
+        for side, pair in enumerate(((1, 0), (0, 1))):
+            if pair in bits:
+                mixed[side] += w * sum(e for _, e in bits[bits.index(pair) + 1 :])
+    return tuple(mixed)
+
+
+def test_mixed_weights_count_hits_after_the_first_mixed_step(monkeypatch):
+    # The policy's laws have no such hits, so a hand-built law checks the formula.
+    law = {
+        (0b001, 0b110): 3,  # (1,0) then two hits; (0,1) then one
+        (0b010, 0b101): 5,  # (0,1) then a (1,0) step and one hit after each
+        (0b011, 0b111): 2,  # a (0,1) step last, with nothing after it
+        (0b100, 0b011): 1,  # two (0,1) steps, then a (1,0) step last
+        (0b000, 0b000): 6,
+    }
+    monkeypatch.setattr(oracle, "_lumped_law", lambda K, c_int: (dict(law), 17))
+    enum = exact_enumeration(8, 2, 3)
+    assert enum._mixed == _mixed_by_steps(law, 3) == (11, 9)
+    assert enum.mixed_mass_10 == Fraction(11, 17)
+
+
 @pytest.mark.usefixtures("compensated_sum")
 def test_exact_rates_are_left_to_right_sums():
     # From Python 3.12 sum() of floats is compensated; the exact rates and
