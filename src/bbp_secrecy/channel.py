@@ -42,25 +42,14 @@ _new = tuple.__new__  # skips a NamedTuple's generated __new__, about 0.3 us a c
 
 class BeamSet(NamedTuple):
     """Beam labels (a probe's in draw order) and their count; the mask (bit b-1
-    <-> beam b) and the methods below derive from the labels on demand."""
+    <-> beam b) and its hex form derive from the labels on demand."""
 
     beams: list[int]
     card: int
 
-    @classmethod
-    def from_beams(cls, beams) -> "BeamSet":
-        beams = list(beams)
-        return cls(beams, len(beams))
-
     @property
     def mask(self) -> int:
         return sum(1 << (b - 1) for b in self.beams)  # the labels are distinct
-
-    def contains(self, beam: int) -> bool:
-        return beam in self.beams
-
-    def members(self) -> list[int]:
-        return sorted(self.beams)
 
     def hex(self) -> str:
         return format(self.mask, "#x")
@@ -238,23 +227,14 @@ def jcas_step(
     return _new(BeamSet, (picked, q)), _new(PolicyState, (rest, picked, det, j + 1, clamp))
 
 
-def simulate_block(
-    schedule: ExplorationSchedule,
-    rng: random.Random,
-    s_l: int | None = None,
-    s_e: int | None = None,
-) -> BlockTranscript:
+def simulate_block(schedule: ExplorationSchedule, rng: random.Random) -> BlockTranscript:
     """Simulate one block and return its full transcript.
 
     K, the budget B and the block length L are read from ``schedule``.
-    ``s_l`` / ``s_e`` override the drawn states (used by replay tests); the
-    states are drawn from ``rng`` regardless so that the probe-choice stream
-    is unchanged by an override.  ``jcas_step`` is looked up once per block,
-    so a wrapper installed before the call sees every step.
+    ``draw_states`` and ``jcas_step`` are looked up once per block, so a
+    wrapper installed before the call sees the state draw and every step.
     """
-    drawn_l, drawn_e = draw_states(schedule.K, rng)
-    s_l = drawn_l if s_l is None else s_l
-    s_e = drawn_e if s_e is None else s_e
+    s_l, s_e = draw_states(schedule.K, rng)
 
     budget = int(schedule.B)  # B > 0, so this is the floor
     state = initial_policy_state(schedule.K)

@@ -47,6 +47,8 @@ class TranscriptStats:
     ``pattern_counts`` maps (y_l bits, y_e bits) -> occurrences, with step j
     in bit j-1; it merges, in order, ``group_counts``, where each block is
     counted once, in its contiguous batch-means group.
+    ``model.prefix_cells(pattern_counts, L)`` gives each stream's per-prefix
+    [count, ones] cells.
     """
 
     L: int
@@ -65,17 +67,6 @@ class TranscriptStats:
             mine.update(theirs)
         self.clamped_probes += other.clamped_probes
         self.cost_violations += other.cost_violations
-
-    def prefix_stats(self, stream: int, j: int) -> dict[int, list[int]]:
-        """Per-prefix [count, ones] for step j of stream 0 (y_l) or 1 (y_e).
-
-        Keys are the first j-1 feedback bits packed as an integer.
-        """
-        if stream not in (0, 1):
-            raise ValueError(f"stream must be 0 (y_l) or 1 (y_e), got {stream!r}")
-        if not 1 <= j <= self.L:
-            raise ValueError(f"step must be in 1..{self.L}, got {j}")
-        return prefix_cells(self.pattern_counts, j)[stream][j - 1]
 
 
 def _plug_in_rates(counts: Counter, L: int) -> list[float]:
@@ -141,10 +132,11 @@ def collect_stats(
 ) -> TranscriptStats:
     """Simulate ``config.blocks`` blocks and accumulate pattern counts.
 
-    ``workers`` defaults to the BBP_THREADS environment variable (else 1)
-    and is capped by :func:`resolve_workers`.  The result is independent of
-    the worker count.  Transcript dumping forces a single worker so the dump
-    order is the block order.  K above ``MAX_SIMULATED_BEAMS`` is refused, and
+    ``workers`` defaults to the BBP_THREADS environment variable (else 1; a
+    non-integer value raises ``ValueError``) and is capped by
+    :func:`resolve_workers`.  The result is independent of the worker count.
+    Transcript dumping forces a single worker so the dump order is the block
+    order.  K above ``MAX_SIMULATED_BEAMS`` is refused, and
     so is a ``schedule`` built for another (K, B, L) than ``config``'s.
     """
     if config.blocks <= 0:
@@ -156,7 +148,11 @@ def collect_stats(
     if (schedule.K, schedule.B, schedule.L) != instance:
         raise ValueError(f"schedule (K, B, L) differs from the config's {instance}")
     if workers is None:
-        workers = int(os.environ.get("BBP_THREADS", "1"))
+        threads = os.environ.get("BBP_THREADS", "1")
+        try:
+            workers = int(threads)
+        except ValueError:
+            raise ValueError(f"BBP_THREADS must be an integer, got {threads!r}") from None
     workers = resolve_workers(workers, config.blocks)
     if dump_path is not None:
         workers = 1

@@ -36,7 +36,7 @@ from math import lcm
 
 from .bounds import T3_VARIANTS, closed_forms, prefix_probability_table
 from .model import ExplorationSchedule, binary_entropy, compute_schedule
-from .model import left_sum, pack_bits, prefix_cells, step_entropies
+from .model import left_sum, prefix_cells, step_entropies
 
 MAX_K = 8
 MAX_L = 4
@@ -116,41 +116,31 @@ def _lumped_law(K: int, c_int: tuple[int, ...]) -> tuple[dict, int]:
 
 @dataclass
 class EnumerationResult:
-    """Exact transcript law of the instance ``schedule`` carries, plus its rates."""
+    """Exact transcript law of the instance ``schedule`` carries, plus its rates.
+
+    Each weight is a probability times ``denominator``: of each packed (y_l,
+    y_e) pattern (``weights``), each eavesdropper prefix cell (``eav_cells``,
+    as ``model.prefix_cells``) and the two ``flip_mass_after_joint_*`` rows.
+    """
 
     schedule: ExplorationSchedule
     main_steps: list[float]
     leakage_steps: list[float]
-    _weights: dict = field(repr=False, default_factory=dict)
-    _denominator: int = field(repr=False, default=1)
-    _eav_cells: list[dict] = field(repr=False, default_factory=list)
-    _mixed: tuple[int, int] = field(repr=False, default=(0, 0))
+    weights: dict[tuple[int, int], int]
+    denominator: int
+    eav_cells: list[dict[int, list[int]]]
+    mixed: tuple[int, int]
 
     @cached_property
     def law(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
         """The chain's integer weights as ``Fraction`` probabilities, built on first access."""
-        L, d = self.schedule.L, self._denominator
+        L, d = self.schedule.L, self.denominator
         bits = [tuple(p >> i & 1 for i in range(L)) for p in range(1 << L)]
-        return {(bits[yl], bits[ye]): Fraction(w, d) for (yl, ye), w in self._weights.items()}
+        return {(bits[yl], bits[ye]): Fraction(w, d) for (yl, ye), w in self.weights.items()}
 
-    total_mass = property(lambda self: Fraction(sum(self._weights.values()), self._denominator))
-    mixed_mass_10 = property(lambda self: Fraction(self._mixed[0], self._denominator))
-    mixed_mass_01 = property(lambda self: Fraction(self._mixed[1], self._denominator))
-
+    total_mass = property(lambda self: Fraction(sum(self.weights.values()), self.denominator))
     main_rate = property(lambda self: left_sum(self.main_steps) / self.schedule.L)
     leakage = property(lambda self: left_sum(self.leakage_steps) / self.schedule.L)
-
-    def _eav_cell(self, j: int, prefix: tuple[int, ...]) -> tuple[int, int]:
-        if not 1 <= j <= self.schedule.L or len(prefix) != j - 1:
-            raise ValueError(f"no {len(prefix)}-bit prefix before step {j} of {self.schedule.L}")
-        return self._eav_cells[j - 1].get(pack_bits(prefix), (0, 0))
-
-    def prefix_mass(self, j: int, prefix: tuple[int, ...]) -> Fraction:
-        return Fraction(self._eav_cell(j, prefix)[0], self._denominator)
-
-    def prefix_flip(self, j: int, prefix: tuple[int, ...]) -> Fraction | None:
-        weight, ones = self._eav_cell(j, prefix)
-        return Fraction(ones, weight) if weight else None
 
 
 def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
@@ -308,7 +298,7 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
     exact deep-prefix contribution (within ``TOL``).
     """
     enum = exact_enumeration(K, B, L)
-    sched, cells, denominator = enum.schedule, enum._eav_cells, enum._denominator
+    sched, cells, denominator = enum.schedule, enum.eav_cells, enum.denominator
     rows: list[ReportRow] = []
     step_bad = mass_bad = False
 
@@ -340,8 +330,8 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
             deep.append((j, k))
             if weight:
                 oracle_value += mass * binary_entropy(flip)
-    rows.append(ReportRow("flip_mass_after_joint_10", 0.0, enum._mixed[0] / denominator))
-    rows.append(ReportRow("flip_mass_after_joint_01", 0.0, enum._mixed[1] / denominator))
+    rows.append(ReportRow("flip_mass_after_joint_10", 0.0, enum.mixed[0] / denominator))
+    rows.append(ReportRow("flip_mass_after_joint_01", 0.0, enum.mixed[1] / denominator))
 
     leakage = enum.leakage
     for variant, pt in zip(variants, closed):  # the variants coincide for L <= 3

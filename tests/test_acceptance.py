@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from bbp_secrecy import cli
+from bbp_secrecy import channel, cli
 from bbp_secrecy.bounds import bound_point, closed_forms, prefix_probability_table
-from bbp_secrecy.channel import block_seeds, simulate_block
+from bbp_secrecy.channel import block_seeds, draw_states, simulate_block
 from bbp_secrecy.estimators import collect_stats, estimate_rates
 from bbp_secrecy.model import ModelConfig, compute_schedule, prefix_cells, step_entropies
 from bbp_secrecy.oracle import _lumped_law, verify_against_closed_forms
@@ -183,7 +183,7 @@ def _flip_cases():
 @pytest.mark.parametrize("j,prefix,closed", list(_flip_cases()))
 def test_c6_prefix_flip_within_three_sigma(mc_run, j, prefix, closed):
     stats = mc_run[2]
-    seen = stats.prefix_stats(1, j)
+    seen = prefix_cells(stats.pattern_counts, stats.L)[1][j - 1]
     bits = int(prefix[::-1], 2) if prefix else 0
     n, ones = seen[bits]
     phat = ones / n
@@ -324,6 +324,12 @@ C7_GRID = [(4, 1, 3), (8, 2, 4), (16, 4, 3), (32, 8, 5), (64, 16, 2)]
 C7_BLOCKS = 20_000  # per grid point; 10^5 in total
 
 
+def _other_eavesdropper_state(K, rng):
+    """``channel.draw_states`` with both draws taken, the eavesdropper moved one beam on."""
+    s_l, s_e = draw_states(K, rng)
+    return s_l, s_e % K + 1
+
+
 @pytest.fixture(scope="module")
 def structural_scan():
     t0 = time.perf_counter()
@@ -331,11 +337,14 @@ def structural_scan():
     for K, B, L in C7_GRID:
         sched = compute_schedule(K, B, L)
         budget = int(B)
-        for word in block_seeds(29, 0, C7_BLOCKS):
-            tr = simulate_block(sched, random.Random(word))
+        words = list(block_seeds(29, 0, C7_BLOCKS))
+        blocks = [simulate_block(sched, random.Random(word)) for word in words]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(channel, "draw_states", _other_eavesdropper_state)
+            replays = [simulate_block(sched, random.Random(word)) for word in words]
+        for tr, rep in zip(blocks, replays):
             if any(p.card > budget for p in tr.probes):
                 cost_bad += 1
-            rep = simulate_block(sched, random.Random(word), s_l=tr.s_l, s_e=tr.s_e % K + 1)
             if [p.mask for p in rep.probes] != [p.mask for p in tr.probes]:
                 replay_bad += 1
             saw_10 = False

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbp_secrecy import channel
 from bbp_secrecy.channel import (
     BeamSet,
     BlockTranscript,
@@ -22,29 +23,32 @@ from bbp_secrecy.model import compute_schedule, pack_bits
 
 
 def test_beamset_roundtrip():
-    s = BeamSet.from_beams([1, 5, 8])
+    s = BeamSet([1, 5, 8], 3)
     assert s.mask == 0b10010001
     assert s.card == 3
-    assert s.members() == [1, 5, 8]
-    assert s.contains(5) and not s.contains(2)
     assert s.hex() == "0x91"
-    assert BeamSet.from_beams(range(1, 5)).members() == [1, 2, 3, 4]
-    assert BeamSet.from_beams([]).card == 0
+    assert BeamSet([], 0).mask == 0 and BeamSet([], 0).hex() == "0x0"
 
 
 @given(st.integers(2, 32).flatmap(lambda K: st.tuples(st.just(K), st.sets(st.integers(1, K)))))
 def test_beamset_members_roundtrip(K_and_beams):
+    # The mask's set bits list the labels back, in ascending order.
     K, beams = K_and_beams
-    s = BeamSet.from_beams(beams)
-    assert s.members() == sorted(beams)
-    assert s.card == len(beams)
+    s = BeamSet(list(beams), len(beams))
+    assert [b for b in range(1, K + 1) if s.mask >> (b - 1) & 1] == sorted(beams)
+    assert s.mask.bit_count() == s.card
 
 
-def test_channel_output_is_membership():
-    x = BeamSet.from_beams([2, 3])
-    assert int(x.contains(2)) == 1
-    assert int(x.contains(1)) == 0
-    assert int(BeamSet.from_beams([]).contains(1)) == 0
+def test_channel_output_is_membership(monkeypatch):
+    # A (4, 2, 1) block probes two of the four beams: each receiver's bit is
+    # 1 iff the probe holds its beam, for every pair of states.
+    sched = compute_schedule(4, 2, 1)
+    for s_l in range(1, 5):
+        for s_e in range(1, 5):
+            monkeypatch.setattr(channel, "draw_states", lambda K, rng: (s_l, s_e))
+            tr = simulate_block(sched, random.Random(s_l + 4 * s_e))
+            beams = tr.probes[0].beams
+            assert tr.pattern == (int(s_l in beams), int(s_e in beams))
 
 
 def test_draw_states_deterministic_and_uniform():
@@ -93,7 +97,7 @@ def test_first_probe_uses_first_schedule_entry():
     probe, state = jcas_step(initial_policy_state(32), 0, sched, random.Random(0))
     assert probe.card == 8
     assert state.step == 2
-    assert sorted(state.probed) == probe.members()
+    assert sorted(state.probed) == sorted(probe.beams)
     assert state.detection_time is None
 
 
@@ -119,8 +123,8 @@ def test_jcas_step_is_a_function_of_its_state_and_generator(K, B, L):
 
 @pytest.mark.parametrize("K,B,L,blocks", [(256, 16, 12, 2000), (1024, 64, 12, 200)])
 def test_probe_labels_derive_mask_membership_and_members(K, B, L, blocks):
-    # A probe keeps its labels in draw order; the mask, membership and sorted
-    # members are derived from them and must agree with a mask built by hand.
+    # A probe keeps its labels in draw order; the mask and membership are
+    # derived from them and must agree with a mask built by hand.
     sched = compute_schedule(K, B, L)
     for word in block_seeds(2500 + K, 0, blocks):
         rng = random.Random(word)
@@ -134,9 +138,37 @@ def test_probe_labels_derive_mask_membership_and_members(K, B, L, blocks):
             assert probe.card == len(probe.beams) == len(set(probe.beams))
             assert probe.mask == mask
             for s in (s_l, s_e):
-                assert probe.contains(s) == bool(mask >> (s - 1) & 1)
-            assert probe.members() == sorted(probe.beams)
-            y_prev = int(probe.contains(s_l))
+                assert (s in probe.beams) == bool(mask >> (s - 1) & 1)
+            y_prev = int(s_l in probe.beams)
+
+
+def test_no_reachable_step_clamps_its_probe():
+    # The clamp in jcas_step is a guard no schedule reaches: exploring leaves
+    # K - cum_{j-1} >= 2 c_j beams, and after detection the pool holds at
+    # least twice the next probe.  Probe sizes depend only on the pool and
+    # probe sizes, the detection step and the step, so one state per such
+    # key, followed on each outcome the legitimate beam allows, walks every
+    # reachable step of every instance of the grid.
+    rng = random.Random(0)
+    instances = 0
+    for K in range(2, 41):
+        for B in [b / 2 for b in range(1, 2 * K + 1)]:
+            for L in (1, 3, 6, 10):
+                sched = compute_schedule(K, B, L)
+                frontier = [(initial_policy_state(K), 0)]
+                for _ in range(L):
+                    reached = {}
+                    for state, y_prev in frontier:
+                        probe, nxt = jcas_step(state, y_prev, sched, rng)
+                        assert nxt.clamp_count == 0 and probe.card <= int(B), (K, B, L, nxt)
+                        # A hit needs a probed beam, a miss an unprobed one.
+                        for y, room in ((1, probe.card), (0, len(nxt.pool))):
+                            if room:
+                                key = len(nxt.pool), probe.card, nxt.detection_time, y
+                                reached[key] = nxt, y
+                    frontier = list(reached.values())
+                instances += 1
+    assert instances == 6552
 
 
 def test_exploration_probes_are_disjoint_until_detection():
@@ -167,14 +199,14 @@ def test_bisection_resolves_to_the_legitimate_beam():
         assert tr.probes[1].card == 1
         assert tr.probes[1].mask & tr.probes[0].mask == tr.probes[1].mask
         if tr.y_l[1] == 1:
-            resolved = tr.probes[1].members()[0]
+            resolved = tr.probes[1].beams[0]
         else:
             # the other beam of the two-beam detection set
-            probed = tr.probes[1].members()[0]
-            resolved = [b for b in tr.probes[0].members() if b != probed][0]
+            probed = tr.probes[1].beams[0]
+            resolved = [b for b in tr.probes[0].beams if b != probed][0]
         assert resolved == tr.s_l
-        assert tr.probes[2].members() == [tr.s_l]
-        assert tr.probes[3].members() == [tr.s_l]
+        assert tr.probes[2].beams == [tr.s_l]
+        assert tr.probes[3].beams == [tr.s_l]
         assert tr.y_l[2] == tr.y_l[3] == 1
     assert hits > 50
 
@@ -190,15 +222,22 @@ def test_post_detection_probe_sizes_halve():
     assert found > 10
 
 
+def _other_eavesdropper_state(K, rng):
+    """``draw_states`` with both draws taken, the eavesdropper moved one beam on."""
+    s_l, s_e = draw_states(K, rng)
+    return s_l, s_e % K + 1
+
+
 def test_replay_with_other_eavesdropper_state_is_identical():
     sched = compute_schedule(16, 4, 4)
     for word in block_seeds(21, 0, 200):
         tr = simulate_block(sched, random.Random(word))
-        forced = tr.s_e % 16 + 1
-        rep = simulate_block(sched, random.Random(word), s_l=tr.s_l, s_e=forced)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(channel, "draw_states", _other_eavesdropper_state)
+            rep = simulate_block(sched, random.Random(word))
         assert [p.mask for p in rep.probes] == [p.mask for p in tr.probes]
         assert rep.y_l == tr.y_l
-        assert rep.s_e == forced
+        assert (rep.s_l, rep.s_e) == (tr.s_l, tr.s_e % 16 + 1)
 
 
 def test_simulation_is_deterministic_per_seed():
@@ -258,8 +297,8 @@ def test_cost_constraint_holds(K, B, L, seed):
         tr = simulate_block(sched, random.Random(word))
         assert tr.cost_ok
         assert max(p.card for p in tr.probes) <= B
-        assert tr.y_l == [int(p.contains(tr.s_l)) for p in tr.probes]
-        assert tr.y_e == [int(p.contains(tr.s_e)) for p in tr.probes]
+        assert tr.y_l == [int(tr.s_l in p.beams) for p in tr.probes]
+        assert tr.y_e == [int(tr.s_e in p.beams) for p in tr.probes]
 
 
 def test_fractional_schedule_probes_nothing_on_floored_zero():
@@ -280,7 +319,7 @@ def test_transcript_dump_line_format():
     tr = BlockTranscript(
         s_l=3,
         s_e=7,
-        probes=[BeamSet.from_beams([1, 3]), BeamSet.from_beams([5])],
+        probes=[BeamSet([1, 3], 2), BeamSet([5], 1)],
         pattern=(0b01, 0b00),
         cost_ok=True,
     )
@@ -325,6 +364,6 @@ def test_transcript_pattern_packs_the_feedback(n):
     for word in block_seeds(1000 + n, 0, 500):
         t = simulate_block(sched, random.Random(word))
         assert t.pattern == (pack_bits(t.y_l), pack_bits(t.y_e))
-    probes = [BeamSet.from_beams([1]), BeamSet.from_beams([2]), BeamSet.from_beams([1, 2])]
+    probes = [BeamSet([1], 1), BeamSet([2], 1), BeamSet([1, 2], 2)]
     hand = BlockTranscript(s_l=1, s_e=2, probes=probes, pattern=(0b101, 0b110), cost_ok=True)
     assert (hand.y_l, hand.y_e) == ([1, 0, 1], [0, 1, 1])

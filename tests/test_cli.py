@@ -527,6 +527,14 @@ def test_worker_env_var_does_not_change_output(tmp_path, capsys, monkeypatch):
     assert threaded == base
 
 
+def test_non_integer_worker_env_var_exits_usage(capsys, monkeypatch):
+    monkeypatch.setenv("BBP_THREADS", "x")
+    rc, out, err = run(capsys, "simulate", "--K", "8", "--B", "2", "--L", "2", "--blocks", "20")
+    assert rc == 1
+    assert out == ""
+    assert err == "bbp-secrecy: error: BBP_THREADS must be an integer, got 'x'\n"
+
+
 def test_config_file_loses_to_abbreviated_flag(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("K=8\nB=2\nL=2\nseed=1\nblocks=50\n")

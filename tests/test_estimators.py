@@ -19,7 +19,8 @@ from bbp_secrecy.estimators import (
     unseen_table_prefixes,
 )
 from bbp_secrecy.channel import block_seeds, simulate_block
-from bbp_secrecy.model import ModelConfig, binary_entropy, compute_schedule, pack_bits
+from bbp_secrecy.model import ModelConfig, binary_entropy, compute_schedule
+from bbp_secrecy.model import pack_bits, prefix_cells
 
 H4 = binary_entropy(0.25)
 
@@ -180,12 +181,13 @@ def test_unseen_prefixes_shrink_with_sample_size():
 def test_unseen_prefixes_are_the_unseen_table_keys(K, B, L, blocks):
     stats = collect_stats(ModelConfig(K=K, L=L, B=B, seed=2, blocks=blocks))
     table = prefix_probability_table(compute_schedule(K, B, L))
+    eav_cells = prefix_cells(stats.pattern_counts, L)[1]
     # Pack each key's bits 0^k 1^(j-1-k) with pack_bits, independently of the
     # shift arithmetic that unseen_table_prefixes uses.
     unseen = [
         (j, k)
         for j, k in sorted(table)
-        if pack_bits((0,) * k + (1,) * (j - 1 - k)) not in stats.prefix_stats(1, j)
+        if pack_bits((0,) * k + (1,) * (j - 1 - k)) not in eav_cells[j - 1]
     ]
     assert unseen_table_prefixes(stats) == unseen
 
@@ -195,21 +197,6 @@ def test_no_clamps_or_budget_violations(K, B, L):
     stats = collect_stats(ModelConfig(K=K, L=L, B=B, seed=1, blocks=1000))
     assert stats.clamped_probes == 0
     assert stats.cost_violations == 0
-
-
-def test_prefix_stats_rejects_unknown_stream():
-    stats = collect_stats(ModelConfig(K=8, L=3, B=2, seed=1, blocks=20))
-    assert stats.prefix_stats(0, 2) != stats.prefix_stats(1, 2)
-    for stream in (2, "eav"):
-        with pytest.raises(ValueError, match="stream"):
-            stats.prefix_stats(stream, 3)
-
-
-@pytest.mark.parametrize("j", [0, 4])
-def test_prefix_stats_rejects_a_step_outside_the_block(j):
-    stats = collect_stats(ModelConfig(K=8, L=3, B=2, seed=1, blocks=20))
-    with pytest.raises(ValueError, match="step"):
-        stats.prefix_stats(1, j)
 
 
 @pytest.mark.parametrize("word", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from bbp_secrecy import oracle
-from bbp_secrecy.estimators import TranscriptStats, _plug_in_rates, collect_stats
+from bbp_secrecy.estimators import _plug_in_rates, collect_stats
 from bbp_secrecy.model import (
     ModelConfig,
     binary_entropy,
@@ -132,6 +132,12 @@ def test_lumped_law_key_order_is_frozen():
     )
 
 
+def _eav_prefix(enum, prefix):
+    """Exact (mass, flip) of an eavesdropper prefix, read from the integer cells."""
+    weight, ones = enum.eav_cells[len(prefix)].get(pack_bits(prefix), (0, 0))
+    return Fraction(weight, enum.denominator), (Fraction(ones, weight) if weight else None)
+
+
 def test_verify_reports_are_frozen():
     # Digest of every rendered report, measured on the Fraction-weighted chain.
     reports = [verify_against_closed_forms(*case) for case in ENUMERABLE_CASES]
@@ -140,18 +146,20 @@ def test_verify_reports_are_frozen():
         "290939ff289beefe0a3f3b4ac4d64ceb068b06b81b78def56905fb63b2e25c5e"
     )
     assert sum(report.ok for report in reports) == 53
-    # The exact outputs stay Fraction, the prefix 01 never seen included.
+    # The law and its total stay Fraction; the rest are integer weights over
+    # the denominator, and the prefix 01, never seen, has no cell.
     enum = exact_enumeration(2, 1, 3)
-    exact = [*enum.law.values(), enum.total_mass, enum.mixed_mass_10, enum.mixed_mass_01]
-    exact += [enum.prefix_mass(3, (1, 1)), enum.prefix_flip(3, (1, 1)), enum.prefix_mass(3, (0, 1))]
-    assert all(isinstance(value, Fraction) for value in exact)
-    assert enum.prefix_mass(3, (0, 1)) == 0 and enum.prefix_flip(3, (0, 1)) is None
+    assert all(isinstance(value, Fraction) for value in [*enum.law.values(), enum.total_mass])
+    weights = [*enum.weights.values(), enum.denominator, *enum.mixed]
+    weights += [*enum.eav_cells[2][pack_bits((1, 1))]]
+    assert all(type(weight) is int for weight in weights)
+    assert _eav_prefix(enum, (0, 1)) == (0, None)
 
 
 def test_mixed_weights_are_zero_on_every_enumerable_case():
     # An eavesdropper whose bit differs from the legitimate one leaves the pool
     # and is never probed again, so no law has a hit after a mixed step.
-    assert all(exact_enumeration(*case)._mixed == (0, 0) for case in ENUMERABLE_CASES)
+    assert all(exact_enumeration(*case).mixed == (0, 0) for case in ENUMERABLE_CASES)
 
 
 def _mixed_by_steps(law, L):
@@ -176,8 +184,8 @@ def test_mixed_weights_count_hits_after_the_first_mixed_step(monkeypatch):
     }
     monkeypatch.setattr(oracle, "_lumped_law", lambda K, c_int: (dict(law), 17))
     enum = exact_enumeration(8, 2, 3)
-    assert enum._mixed == _mixed_by_steps(law, 3) == (11, 9)
-    assert enum.mixed_mass_10 == Fraction(11, 17)
+    assert enum.mixed == _mixed_by_steps(law, 3) == (11, 9)
+    assert Fraction(enum.mixed[0], enum.denominator) == Fraction(11, 17)
 
 
 @pytest.mark.usefixtures("compensated_sum")
@@ -242,10 +250,9 @@ def test_total_mass_is_exactly_one(K, B, L):
 
 def test_two_step_case_matches_closed_forms_exactly():
     enum = exact_enumeration(8, 2, 2)
-    assert enum.prefix_flip(1, ()) == Fraction(1, 4)
-    assert enum.prefix_mass(2, (1,)) == Fraction(1, 4)
-    assert enum.prefix_flip(2, (1,)) == Fraction(1, 8)
-    assert enum.mixed_mass_10 == 0 and enum.mixed_mass_01 == 0
+    assert _eav_prefix(enum, ()) == (1, Fraction(1, 4))
+    assert _eav_prefix(enum, (1,)) == (Fraction(1, 4), Fraction(1, 8))
+    assert enum.mixed == (0, 0)
 
     report = verify_against_closed_forms(8, 2, 2)
     assert report.ok
@@ -262,12 +269,9 @@ def test_three_step_case_departs_from_closed_forms():
     # Once the beam is found, later probes are deterministic singletons; the
     # closed forms keep assuming an even split, so step 3 drifts.
     enum = exact_enumeration(8, 2, 3)
-    assert enum.prefix_mass(3, (0, 0)) == Fraction(9, 16)
-    assert enum.prefix_flip(3, (0, 0)) == Fraction(2, 9)
-    assert enum.prefix_mass(3, (1, 0)) == Fraction(7, 32)
-    assert enum.prefix_flip(3, (1, 0)) == Fraction(1, 14)
-    assert enum.prefix_mass(3, (1, 1)) == Fraction(1, 32)
-    assert enum.prefix_flip(3, (1, 1)) == Fraction(1, 2)
+    assert _eav_prefix(enum, (0, 0)) == (Fraction(9, 16), Fraction(2, 9))
+    assert _eav_prefix(enum, (1, 0)) == (Fraction(7, 32), Fraction(1, 14))
+    assert _eav_prefix(enum, (1, 1)) == (Fraction(1, 32), Fraction(1, 2))
     assert enum.leakage == 0.7399430463420794
     assert enum.main_steps[2] == 0.75
 
@@ -281,16 +285,6 @@ def test_three_step_case_departs_from_closed_forms():
         "leakage_rate",
     ]
     assert len(report.notes) == 2
-
-
-@pytest.mark.parametrize("j,prefix", [(3, (1,)), (0, ()), (4, ()), (2, (0, 0)), (5, (0,) * 4)])
-def test_prefix_numbers_refuse_a_prefix_of_another_step(j, prefix):
-    # A prefix before step j has j - 1 bits, and j runs over 1..L.
-    enum = exact_enumeration(8, 2, 3)
-    with pytest.raises(ValueError):
-        enum.prefix_mass(j, prefix)
-    with pytest.raises(ValueError):
-        enum.prefix_flip(j, prefix)
 
 
 def test_deep_term_adjudication_picks_state_summed():
@@ -389,15 +383,14 @@ def test_estimator_statistics_on_scaled_exact_law_match_the_oracle(K, B, L):
     assert sum(counts.values()) == scale
     rates = [enum.main_rate, enum.leakage]
     assert _plug_in_rates(counts, L) == pytest.approx(rates, abs=1e-12)
-    stats = TranscriptStats(L=L, blocks=scale, pattern_counts=counts)
+    cells = prefix_cells(counts, L)[1]
     for j in range(1, L + 1):
-        expected = {}
-        for prefix in itertools.product((0, 1), repeat=j - 1):
-            mass = enum.prefix_mass(j, prefix)
-            if mass:
-                flip = enum.prefix_flip(j, prefix)
-                expected[pack_bits(prefix)] = [mass * scale, flip * mass * scale]
-        assert stats.prefix_stats(1, j) == expected
+        expected = defaultdict(lambda: [0, 0])  # [count, ones] per eavesdropper prefix
+        for (_, ye), p in enum.law.items():
+            cell = expected[pack_bits(ye[: j - 1])]
+            cell[0] += p * scale
+            cell[1] += p * scale * ye[j - 1]
+        assert cells[j - 1] == expected
 
 
 @pytest.mark.parametrize(

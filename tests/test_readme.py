@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,8 @@ def test_python_api_block_runs(monkeypatch):
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["pt"].outer == pytest.approx(0.95, abs=1e-12)
     assert namespace["stats"].blocks == 10**4
+    assert 0 < namespace["ones"] < namespace["n"] < 10**4
+    assert namespace["mass"] == Fraction(9, 16)
     assert out.getvalue().startswith("verification: K=8 B=2 L=3 ")
 
 
