@@ -40,11 +40,11 @@ constant) are precomputed.  Every term keeps the formula's float operations
 and addition order, so the outputs are byte-identical.  ``closed_forms``
 divides the factors by the T3 divisor once; scaling by the power of two h is
 exact, so this changes no normal product, and a subnormal one lies far below
-a quarter-ulp of the total, which holds H(c_1/K) >= 2 c_1/K >= 2 factors.
-Blocks longer than 16 uses skip each step's leading deep terms below a
-quarter-ulp of the total at step 4: adding one cannot move the total, the
-total only grows and each term shrinks 4-fold per step, so the cut only
-lengthens, and a long block adds a few deep terms per step, not j - 3.
+half an ulp of the total, which holds H(c_1/K) >= 2 c_1/K >= 2 factors.
+Each step skips its leading deep terms below half an ulp of the total at
+step 4: under round-to-nearest no such term can change the total, which only
+grows, and each term shrinks 4-fold per step, so the cut only moves forward
+and a long block adds a few deep terms per step, not j - 3.
 
 Each share and its entropy is computed once.  A halving step's share c/rem
 is exactly 1/2, whose inlined entropy is exactly 1.0; the next T2 share, half
@@ -163,9 +163,9 @@ def closed_forms(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> 
     deep = [cj**2 / K2 / div for cj in sched.c[1:]]
     main, main_totals, totals = [], [], []
     add_main, add_main_total, add_total = main.append, main_totals.append, totals.append
-    main_total = total = c_prev = rem_prev = p_prev = q = 0.0
+    main_total = total = c_prev = rem_prev = p_prev = 0.0
     p1 = h1 = -1.0  # the last T1 share c/K and its entropy
-    start = 0  # deep[:start] lie below q, a quarter-ulp of a long block's total at j = 4
+    start = 0  # deep[:start] lie below q, half an ulp of the total at j = 4
     for j, (cumr, cj) in enumerate(zip((0.0, *sched.cum), sched.c), 1):
         rem = K - cumr
         w = rem / K
@@ -187,8 +187,8 @@ def closed_forms(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> 
             h = _H_QUARTER if p2 == 0.25 else -p2 * log2(p2) - (1.0 - p2) * log2(1.0 - p2) if p2 else 0.0
             total += (c_prev * rem_prev / K2) * h
         if j >= 4:  # deep prefixes, two or more trailing ones, start at step 4
-            if j == 4 and sched.L > 16:
-                q = ulp(total) / 4
+            if j == 4:
+                q = ulp(total) / 2
             while start < j - 3 and deep[start] * _HALF[j - 4 - start] < q:
                 start += 1
             # H(1/2) = 1, so deep prefixes contribute their mass directly.

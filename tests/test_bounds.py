@@ -368,9 +368,9 @@ def _instances(draw):
 @settings(max_examples=40, deadline=None)
 @given(_instances())
 def test_closed_forms_bit_identical_to_per_term_reference_on_drawn_instances(instance):
-    # Deep factors are divided by the T3 divisor once, and blocks longer than
-    # 16 uses skip deep terms below a quarter-ulp of the total; neither may
-    # move a bit of either variant.
+    # Deep factors are divided by the T3 divisor once, and every block skips
+    # deep terms below half an ulp of the total at step 4; neither may move a
+    # bit of either variant.
     sched = compute_schedule(*instance)
     main = [x.hex() for x in _ref_main_step_entropies(sched)]
     assert [x.hex() for x in closed_forms(sched).main_steps] == main

@@ -202,6 +202,30 @@ def test_sweep_rejects_non_finite_grid(tmp_path, capsys, flags):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--B-step", "0"), "B step must be positive"),
+        (("--B-step", "-0.5"), "B step must be positive"),
+        (("--B-start", "5", "--B-stop", "2"), "empty B range"),
+    ],
+)
+def test_sweep_rejects_bad_b_range(tmp_path, capsys, flags, message):
+    out_csv = tmp_path / "g.csv"
+    rc, out, err = run(capsys, "sweep", *flags, "--out", str(out_csv))
+    assert rc == 1
+    assert out == ""
+    assert err == f"bbp-secrecy: error: {message}\n"
+    assert not out_csv.exists()
+
+
+def test_sweep_rejects_empty_l_list(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--L", ",", "--out", str(tmp_path / "g.csv")])
+    assert exc.value.code == 1
+    assert "argument --L: empty L list" in capsys.readouterr().err
+
+
 def test_sweep_rejects_grid_over_row_cap(tmp_path, capsys):
     # 3.1e10 B values at K=32: refused before any list is built
     out_csv = tmp_path / "g.csv"
@@ -512,6 +536,15 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", "--config", str(cfg))
     assert rc == 1
     assert "unknown config key: bogus" in err
+
+
+def test_config_file_rejects_line_without_equals(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("K 32\n")
+    rc, out, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "g.csv"))
+    assert rc == 1
+    assert out == ""
+    assert err == f"bbp-secrecy: error: {cfg}:1: expected key=value, got 'K 32'\n"
 
 
 def test_worker_env_var_does_not_change_output(tmp_path, capsys, monkeypatch):
