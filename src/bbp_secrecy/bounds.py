@@ -46,12 +46,12 @@ step 4: under round-to-nearest no such term can change the total, which only
 grows, and each term shrinks 4-fold per step, so the cut only moves forward
 and a long block adds a few deep terms per step, not j - 3.
 
-Each share and its entropy is computed once.  A halving step's share c/rem
-is exactly 1/2, whose inlined entropy is exactly 1.0; the next T2 share, half
-of it, is exactly 1/4, whose entropy ``_H_QUARTER`` is that expression taken
-at import.  Both are tested on the value, so a zero or subnormal rem takes
-the general formula.  A budget-bound step repeats the T1 share c/K.  Totals
-are added left to right, as ``sum()`` does only up to Python 3.11.
+Each share and its entropy is computed once per step.  A halving step's
+share c/rem is exactly 1/2, whose inlined entropy is exactly 1.0; the next T2
+share, half of it, is exactly 1/4, whose entropy ``_H_QUARTER`` is that
+expression taken at import.  Both are tested on the value, so a zero or
+subnormal rem takes the general formula.  Totals are added left to right, as
+``sum()`` does only up to Python 3.11.
 """
 
 from __future__ import annotations
@@ -164,7 +164,6 @@ def closed_forms(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> 
     main, main_totals, totals = [], [], []
     add_main, add_main_total, add_total = main.append, main_totals.append, totals.append
     main_total = total = c_prev = rem_prev = p_prev = 0.0
-    p1 = h1 = -1.0  # the last T1 share c/K and its entropy
     start = 0  # deep[:start] lie below q, half an ulp of the total at j = 4
     for j, (cumr, cj) in enumerate(zip((0.0, *sched.cum), sched.c), 1):
         rem = K - cumr
@@ -177,11 +176,8 @@ def closed_forms(sched: ExplorationSchedule, t3_variant: str = "as_printed") -> 
         add_main(m)
         main_total += m
         add_main_total(main_total)
-        pk = cj / K
-        if pk != p1:
-            p1 = pk
-            h1 = -p1 * log2(p1) - (1.0 - p1) * log2(1.0 - p1) if p1 else 0.0
-        total += w * h1
+        p1 = cj / K
+        total += w * (-p1 * log2(p1) - (1.0 - p1) * log2(1.0 - p1) if p1 else 0.0)
         if j >= 2:  # the T2 share is half the step before's main share
             p2 = 0.5 * p_prev
             h = _H_QUARTER if p2 == 0.25 else -p2 * log2(p2) - (1.0 - p2) * log2(1.0 - p2) if p2 else 0.0

@@ -16,9 +16,10 @@ error is the standard deviation of those group rates divided by the square
 root of their number (nan with one group).  A group of one block has plug-in
 rate 0, so every group holds at least ``MIN_GROUP_BLOCKS`` blocks.
 
-Parallelism: blocks are sharded into contiguous ranges; each block seeds
-its generator from (seed, block index), so the merged counts are identical
-for any worker count.
+Parallelism: group g holds blocks ceil(gN/G) .. ceil((g+1)N/G) - 1 of N
+blocks in G groups, and each worker counts a contiguous run of whole groups;
+each block seeds its generator from (seed, block index), so the counts are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import statistics
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .channel import block_seeds, simulate_block
 from .model import ExplorationSchedule, ModelConfig, compute_schedule
@@ -44,29 +46,26 @@ MAX_SIMULATED_BEAMS = 2**20  # every block lists its K-beam pool
 class TranscriptStats:
     """Pattern counts accumulated over simulated blocks.
 
-    ``pattern_counts`` maps (y_l bits, y_e bits) -> occurrences, with step j
-    in bit j-1; it merges, in order, ``group_counts``, where each block is
-    counted once, in its contiguous batch-means group.
+    ``group_counts`` holds, per contiguous batch-means group, the counts of
+    (y_l bits, y_e bits) -> occurrences, with step j in bit j-1;
+    ``pattern_counts`` merges them in order and ``blocks`` is their total,
+    both derived at construction.
     ``model.prefix_cells(pattern_counts, L)`` gives each stream's per-prefix
     [count, ones] cells.
     """
 
     L: int
-    blocks: int
-    pattern_counts: Counter = field(default_factory=Counter)
-    group_counts: list[Counter] = field(default_factory=list)
+    group_counts: list[Counter]
     clamped_probes: int = 0
     cost_violations: int = 0
+    pattern_counts: Counter = field(init=False)
+    blocks: int = field(init=False)
 
-    def merge(self, other: "TranscriptStats") -> None:
-        if other.L != self.L or len(other.group_counts) != len(self.group_counts):
-            raise ValueError("cannot merge stats with different shapes")
-        self.blocks += other.blocks
-        self.pattern_counts.update(other.pattern_counts)
-        for mine, theirs in zip(self.group_counts, other.group_counts):
-            mine.update(theirs)
-        self.clamped_probes += other.clamped_probes
-        self.cost_violations += other.cost_violations
+    def __post_init__(self) -> None:
+        self.pattern_counts = Counter()
+        for counts in self.group_counts:  # contiguous: first-seen order, every float kept
+            self.pattern_counts.update(counts)
+        self.blocks = sum(self.pattern_counts.values())
 
 
 def _plug_in_rates(counts: Counter, L: int) -> list[float]:
@@ -88,40 +87,38 @@ class RateEstimate:
 def _collect_range(
     config: ModelConfig,
     schedule: ExplorationSchedule,
-    start: int,
-    stop: int,
+    edges: list[int],
     dump_path: str | None = None,
-) -> TranscriptStats:
-    """Simulate blocks [start, stop) and count their feedback patterns."""
-    total = config.blocks
-    groups = max(1, min(GROUPS, total // MIN_GROUP_BLOCKS))
-    stats = TranscriptStats(
-        L=config.L, blocks=stop - start, group_counts=[Counter() for _ in range(groups)]
-    )
+) -> tuple[list[Counter], int, int]:
+    """Simulate the groups [edges[g], edges[g + 1]) and count each one's feedback patterns.
+
+    Returns (one ``Counter`` per group, clamped probes, cost violations).
+    """
+    group_counts = []
     budget_violations = 0
     clamps = 0
+    seeds = block_seeds(config.seed, edges[0], edges[-1])
     rng = random.Random()  # reseed(word) leaves Random(word)'s state; no gauss is drawn
     reseed = super(random.Random, rng).seed  # Random.seed minus type checks and gauss reset
     with open(dump_path, "w", encoding="utf-8") if dump_path else nullcontext() as dump:
-        for i, word in enumerate(block_seeds(config.seed, start, stop), start):
-            reseed(word)
-            t = simulate_block(schedule, rng)
-            stats.group_counts[i * groups // total][t.pattern] += 1
-            if not t.cost_ok:
-                budget_violations += 1
-            clamps += t.clamp_count
-            if dump is not None:
-                dump.write(t.format_line() + "\n")
-    for counts in stats.group_counts:  # contiguous: first-seen order, every float kept
-        stats.pattern_counts.update(counts)
-    stats.cost_violations = budget_violations
-    stats.clamped_probes = clamps
-    return stats
+        for start, stop in zip(edges, edges[1:]):
+            counts = Counter()
+            for word in islice(seeds, stop - start):
+                reseed(word)
+                t = simulate_block(schedule, rng)
+                counts[t.pattern] += 1
+                if not t.cost_ok:
+                    budget_violations += 1
+                clamps += t.clamp_count
+                if dump is not None:
+                    dump.write(t.format_line() + "\n")
+            group_counts.append(counts)
+    return group_counts, clamps, budget_violations
 
 
-def resolve_workers(requested: int, blocks: int) -> int:
-    """Worker processes to start: ``requested`` capped by the CPUs and blocks, at least 1."""
-    return max(1, min(requested, os.cpu_count() or 1, blocks))
+def resolve_workers(requested: int, groups: int) -> int:
+    """Worker processes to start: ``requested`` capped by the CPUs and groups, at least 1."""
+    return max(1, min(requested, os.cpu_count() or 1, groups))
 
 
 def collect_stats(
@@ -134,10 +131,11 @@ def collect_stats(
 
     ``workers`` defaults to the BBP_THREADS environment variable (else 1; a
     non-integer value raises ``ValueError``) and is capped by
-    :func:`resolve_workers`.  The result is independent of the worker count.
-    Transcript dumping forces a single worker so the dump order is the block
-    order.  K above ``MAX_SIMULATED_BEAMS`` is refused, and
-    so is a ``schedule`` built for another (K, B, L) than ``config``'s.
+    :func:`resolve_workers` at the batch-means group count; each worker
+    counts a contiguous run of whole groups, so the result is independent of
+    the worker count.  Transcript dumping forces a single worker so the dump
+    order is the block order.  K above ``MAX_SIMULATED_BEAMS`` is refused,
+    and so is a ``schedule`` built for another (K, B, L) than ``config``'s.
     """
     if config.blocks <= 0:
         raise ValueError("config.blocks must be positive for simulation")
@@ -153,23 +151,22 @@ def collect_stats(
             workers = int(threads)
         except ValueError:
             raise ValueError(f"BBP_THREADS must be an integer, got {threads!r}") from None
-    workers = resolve_workers(workers, config.blocks)
-    if dump_path is not None:
-        workers = 1
+    groups = max(1, min(GROUPS, config.blocks // MIN_GROUP_BLOCKS))
+    edges = [-(-g * config.blocks // groups) for g in range(groups + 1)]  # ceil(gN/G)
+    workers = 1 if dump_path is not None else resolve_workers(workers, groups)
     if workers == 1:
-        return _collect_range(config, schedule, 0, config.blocks, dump_path)
-
-    from concurrent.futures import ProcessPoolExecutor  # 30 ms to import; only pools need it
-    edges = [config.blocks * i // workers for i in range(workers + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_collect_range, config, schedule, a, b)
-            for a, b in zip(edges, edges[1:])
-        ]
-        merged, *rest = [fut.result() for fut in futures]
-    for part in rest:
-        merged.merge(part)
-    return merged
+        parts = [_collect_range(config, schedule, edges, dump_path)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # 30 ms to import; only pools need it
+        cuts = [groups * w // workers for w in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(_collect_range, config, schedule, edges[a : b + 1])
+                for a, b in zip(cuts, cuts[1:])
+            ]
+            parts = [fut.result() for fut in futures]
+    counts, clamps, violations = zip(*parts)
+    return TranscriptStats(config.L, [c for run in counts for c in run], sum(clamps), sum(violations))
 
 
 def _rate_estimate(value: float, group_rates: tuple[float, ...]) -> RateEstimate:

@@ -448,11 +448,11 @@ def test_halving_steps_hit_the_exact_shares():
     assert all(0.5 * (cj / rem) == 0.25 for cj, rem in zip(sched.c, rems))
 
 
-@pytest.mark.parametrize("B,calls", [(512, 64), (8, 128)])
+@pytest.mark.parametrize("B,calls", [(512, 64), (8, 190)])
 def test_each_distinct_share_takes_one_entropy(monkeypatch, B, calls):
-    # Two log2 calls per entropy.  At B = K/2 only the T1 shares c_j/K need
-    # one (32 distinct); at B = 8 every step is budget-bound, so the 32 main
-    # and 31 T2 shares do, and the T1 share 8/K once.
+    # Two log2 calls per entropy.  At B = K/2 only the 32 T1 shares c_j/K
+    # need one; at B = 8 every step is budget-bound, so the 32 main, 31 T2
+    # and 32 T1 shares do.
     log2_calls = []
 
     def counted(x):

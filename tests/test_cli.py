@@ -548,8 +548,8 @@ def test_config_file_rejects_line_without_equals(tmp_path, capsys):
 
 
 def test_worker_env_var_does_not_change_output(tmp_path, capsys, monkeypatch):
-    # Three workers split at block 133, inside batch-means group 13 (blocks
-    # 130..139); enough CPUs are reported that the worker cap keeps all three.
+    # Three workers count batch-means groups 0..12, 13..25 and 26..39 of 10
+    # blocks each; enough CPUs are reported that the worker cap keeps all three.
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     args = ("simulate", "--K", "8", "--B", "2", "--L", "2", "--seed", "2", "--blocks", "400")
     rc, base, _ = run(capsys, *args)

@@ -1,4 +1,5 @@
 import _random
+import concurrent.futures
 import hashlib
 import math
 import os
@@ -12,15 +13,15 @@ from bbp_secrecy.bounds import closed_forms, prefix_probability_table
 from bbp_secrecy.estimators import (
     GROUPS,
     MIN_GROUP_BLOCKS,
-    TranscriptStats,
     collect_stats,
     estimate_rates,
     resolve_workers,
     unseen_table_prefixes,
 )
 from bbp_secrecy.channel import block_seeds, simulate_block
-from bbp_secrecy.model import ModelConfig, binary_entropy, compute_schedule
+from bbp_secrecy.model import ExplorationSchedule, ModelConfig, binary_entropy, compute_schedule
 from bbp_secrecy.model import pack_bits, prefix_cells
+from bbp_secrecy.oracle import _lumped_law
 
 H4 = binary_entropy(0.25)
 
@@ -31,9 +32,9 @@ def test_zero_blocks_rejected():
 
 
 def test_worker_count_does_not_change_counts(monkeypatch):
-    # Three workers split at block 1000, inside batch-means group 33
-    # (blocks 990..1019), so merge() must add a group counted in two parts.
-    # Report enough CPUs that the worker cap does not lower the request.
+    # Three workers count batch-means groups 0..32, 33..65 and 66..99 of 30
+    # blocks each, so their runs differ in length.  Report enough CPUs that
+    # the worker cap does not lower the request.
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     cfg = ModelConfig(K=8, L=3, B=2, seed=17, blocks=3000)
     assert resolve_workers(3, cfg.blocks) == 3
@@ -94,11 +95,63 @@ def test_worker_request_is_capped_by_cpus_and_blocks(monkeypatch):
     assert resolve_workers(8, 100) == 1
 
 
-def test_merge_requires_matching_shape():
-    a = TranscriptStats(L=2, blocks=0, group_counts=[Counter()])
-    b = TranscriptStats(L=3, blocks=0, group_counts=[Counter()])
-    with pytest.raises(ValueError):
-        a.merge(b)
+@pytest.mark.parametrize("blocks", [20, 35, 999, 1234, 3000])
+def test_each_worker_counts_a_run_of_whole_groups(monkeypatch, blocks):
+    # Block i belongs to batch-means group i * groups // blocks; the workers'
+    # edges must be exactly those groups' first blocks.  Threads stand in for
+    # the processes so that the recording wrapper sees every call.
+    runs = []
+
+    def recording(config, schedule, edges, dump_path=None):
+        runs.append(list(edges))
+        return collect_range(config, schedule, edges, dump_path)
+
+    collect_range = estimators._collect_range
+    monkeypatch.setattr(estimators, "_collect_range", recording)
+    threads = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = ModelConfig(K=4, L=1, B=1, seed=3, blocks=blocks)
+    groups = max(1, min(GROUPS, blocks // MIN_GROUP_BLOCKS))
+    first = {}
+    for i in range(blocks):
+        first.setdefault(i * groups // blocks, i)
+    want = [first[g] for g in range(groups)] + [blocks]
+    results = []
+    for workers in (1, 2, 3):
+        runs.clear()
+        results.append(collect_stats(cfg, workers=workers))
+        runs.sort()
+        assert len(runs) == min(workers, groups)
+        assert [e for run in runs for e in run[:-1]] + [runs[-1][-1]] == want
+        assert all(a[-1] == b[0] for a, b in zip(runs, runs[1:]))
+    for stats in results[1:]:
+        assert stats.group_counts == results[0].group_counts
+        assert stats.pattern_counts == results[0].pattern_counts
+
+
+# Over-asks on purpose: three beams at step 1 against a budget of two, and
+# nine at step 2, more than a pool left after a miss holds.
+OVER_ASKING = ExplorationSchedule(8, 2.0, (2.0, 2.0), (3, 9), (2.0, 4.0))
+
+
+def test_safety_counters_count_an_over_asking_schedule(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = ModelConfig(K=8, L=2, B=2, seed=5, blocks=400)
+    violations = clamps = 0
+    for word in block_seeds(cfg.seed, 0, cfg.blocks):
+        t = simulate_block(OVER_ASKING, random.Random(word))
+        violations += not t.cost_ok
+        clamps += t.clamp_count
+    assert (violations, clamps) == (400, 255)
+    for workers in (1, 2):
+        stats = collect_stats(cfg, OVER_ASKING, workers=workers)
+        assert (stats.cost_violations, stats.clamped_probes) == (violations, clamps)
+
+    # The exact law follows the same clamp: a probe of at most the pool.
+    law, denominator = _lumped_law(cfg.K, OVER_ASKING.c_int)
+    assert sum(law.values()) == denominator
+    assert set(law) == set(stats.pattern_counts)
 
 
 def test_group_counts_partition_the_pattern_counts():
