@@ -1,9 +1,10 @@
 """Exact transcript law of the probing policy and closed-form verification.
 
 ``exact_enumeration`` computes the joint law of the feedback pair (y_l, y_e)
-in one forward pass over a lumped Markov chain on integer weights over one
-common denominator, each pattern packed into an integer; ``law`` exposes them
-as exact ``fractions.Fraction`` probabilities, built on first access.
+in one forward pass over a lumped Markov chain whose weights count the
+receiver-state pairs (s_l, s_e) behind each pattern, over K² in all, each
+pattern packed into an integer; ``law`` exposes them as exact
+``fractions.Fraction`` probabilities, built on first access.
 Probes are uniform subsets of the pool, so beam labels are exchangeable: a
 state is the feedback so far, the pool size, the step of the first
 legitimate hit (0 while exploring) and where the eavesdropper sits
@@ -32,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .bounds import T3_VARIANTS, closed_forms, prefix_probability_table
 from .model import ExplorationSchedule, binary_entropy, compute_schedule
@@ -51,34 +51,35 @@ class GuardRailError(ValueError):
 
 
 def _lumped_law(K: int, c_int: tuple[int, ...]) -> tuple[dict, int]:
-    """Joint law of packed (y_l, y_e) over len(c_int) uses, averaged over uniform receiver states.
+    """Joint law of packed (y_l, y_e) over len(c_int) uses, as receiver-state pair counts over K².
+
+    The beams (s_l, s_e) are independent and uniform, so a pattern's
+    probability is the number of the K² ordered pairs that produce it, over
+    K².  Probe sizes depend only on y_l and every probe lies in the pool, so
+    for any draw of the probes a state of pool size n holds n(n - 1) pairs
+    with the eavesdropper elsewhere in the pool, n with the beams coincident
+    and n·e once the eavesdropper has left the pool with e possible beams.
 
     A probe takes q of the n pool beams: c_j while exploring, and after a
     first hit at step det, c_det halved once per step since (at least 1).
     The next pool is the probe after a legitimate hit and the other m = n - q
-    beams after a miss.  A state branches by where the eavesdropper sits,
-    with these weights over n(n - 1) in the pool and over n otherwise:
+    beams after a miss.  A state branches by where the eavesdropper sits:
 
-    - coincident: both hit (q) or both miss (m);
-    - in the pool: both hit (q(q - 1)) and it stays in; only the legitimate
-      receiver hits (qm) or only the eavesdropper (mq), and it leaves; both
-      miss (m(m - 1)) and it stays in;
-    - outside the pool: the legitimate receiver hits (q) or misses (m).
+    - coincident (n pairs): both hit (q) or both miss (m);
+    - in the pool (n(n - 1) pairs): both hit (q(q - 1)) and it stays in;
+      only the legitimate receiver hits (qm) or only the eavesdropper (mq),
+      and it leaves; both miss (m(m - 1)) and it stays in;
+    - outside the pool (n·e pairs): the legitimate receiver hits (q·e) or
+      misses (m·e).
 
     The branches come in that order, which fixes the order of the law's keys,
-    and one of weight 0 is skipped: a kept state has n >= 2 with the
-    eavesdropper in the pool, n >= 1 otherwise, so no denominator is 0.
-    Patterns are packed as by ``model.pack_bits``, step j in bit j-1.  Each
-    step brings every weight to the lcm of the step's denominators, so all
-    share one denominator D, returned with the law: P = weight / D.
+    and one of weight 0 is skipped.  Each key is reached from one state only,
+    so each is set once.  Patterns are packed as by ``model.pack_bits``, step
+    j in bit j-1.  Returns the law and its denominator K²: P = count / K².
     """
-    frontier = {(0, 0, K, 0, COINCIDENT): 1, (0, 0, K, 0, IN_POOL): K - 1}
-    denominator = K
+    frontier = {(0, 0, K, 0, COINCIDENT): K, (0, 0, K, 0, IN_POOL): K * (K - 1)}
     for j, c in enumerate(c_int, 1):
-        scale = lcm(*{n * (n - 1) if place == IN_POOL else n for _, _, n, _, place in frontier})
-        denominator *= scale
         step: dict = {}
-        get = step.get
         bit = 1 << (j - 1)
         for (yl, ye, n, det, place), w in frontier.items():
             q = (c_int[det - 1] >> (j - det) or 1) if det else c
@@ -86,41 +87,35 @@ def _lumped_law(K: int, c_int: tuple[int, ...]) -> tuple[dict, int]:
                 q = n
             m = n - q
             hl, hd = yl | bit, det or j  # y_l and det after a hit
-            if place == IN_POOL:
-                w *= scale // (n * (n - 1))
+            if place == IN_POOL:  # w = n(n - 1), shared out among the four branches
                 if q > 1:
-                    key = hl, ye | bit, q, hd, IN_POOL
-                    step[key] = get(key, 0) + w * q * (q - 1)
+                    step[hl, ye | bit, q, hd, IN_POOL] = q * (q - 1)
                 if q and m:
-                    key = hl, ye, q, hd, OUT_OF_POOL
-                    step[key] = get(key, 0) + w * q * m
-                    key = yl, ye | bit, m, det, OUT_OF_POOL
-                    step[key] = get(key, 0) + w * m * q
+                    step[hl, ye, q, hd, OUT_OF_POOL] = q * m
+                    step[yl, ye | bit, m, det, OUT_OF_POOL] = m * q
                 if m > 1:
-                    key = yl, ye, m, det, IN_POOL
-                    step[key] = get(key, 0) + w * m * (m - 1)
+                    step[yl, ye, m, det, IN_POOL] = m * (m - 1)
             else:
-                w *= scale // n
+                w //= n
                 if q:
-                    key = hl, (ye | bit if place == COINCIDENT else ye), q, hd, place
-                    step[key] = get(key, 0) + w * q
+                    step[hl, (ye | bit if place == COINCIDENT else ye), q, hd, place] = w * q
                 if m:
-                    key = yl, ye, m, det, place
-                    step[key] = get(key, 0) + w * m
+                    step[yl, ye, m, det, place] = w * m
         frontier = step
     law: dict[tuple[int, int], int] = {}
     for (yl, ye, _, _, _), w in frontier.items():
         law[yl, ye] = law.get((yl, ye), 0) + w
-    return law, denominator
+    return law, K * K
 
 
 @dataclass
 class EnumerationResult:
     """Exact transcript law of the instance ``schedule`` carries, plus its rates.
 
-    Each weight is a probability times ``denominator``: of each packed (y_l,
-    y_e) pattern (``weights``), each eavesdropper prefix cell (``eav_cells``,
-    as ``model.prefix_cells``) and the two ``flip_mass_after_joint_*`` rows.
+    Each weight counts receiver-state pairs (s_l, s_e), a probability times
+    ``denominator`` = K²: of each packed (y_l, y_e) pattern (``weights``),
+    each eavesdropper prefix cell (``eav_cells``, as ``model.prefix_cells``)
+    and the two ``flip_mass_after_joint_*`` rows.
     """
 
     schedule: ExplorationSchedule
@@ -133,7 +128,7 @@ class EnumerationResult:
 
     @cached_property
     def law(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
-        """The chain's integer weights as ``Fraction`` probabilities, built on first access."""
+        """The chain's pair counts as ``Fraction`` probabilities, built on first access."""
         L, d = self.schedule.L, self.denominator
         bits = [tuple(p >> i & 1 for i in range(L)) for p in range(1 << L)]
         return {(bits[yl], bits[ye]): Fraction(w, d) for (yl, ye), w in self.weights.items()}
@@ -147,9 +142,9 @@ def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
     """Exact joint feedback law for one instance, with its derived rates.
 
     The law is that of the floored schedule ``c_int``, as simulated.  The
-    statistics run on the chain's integer weights over their common
-    denominator; ``int / int`` rounds correctly, as ``float(Fraction)`` does,
-    and only the returned masses become ``Fraction``.  The mixed weights of the
+    statistics run on the chain's pair counts over K²; ``int / int`` rounds
+    correctly, as ``float(Fraction)`` does, and only the returned masses
+    become ``Fraction``.  The mixed weights of the
     ``flip_mass_after_joint_*`` rows are 0 on every law of the policy: an
     eavesdropper whose bit differs from the legitimate one leaves the pool for good.
 

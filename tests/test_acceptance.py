@@ -15,10 +15,11 @@ import pytest
 
 from bbp_secrecy import channel, cli
 from bbp_secrecy.bounds import bound_point, closed_forms, prefix_probability_table
-from bbp_secrecy.channel import block_seeds, draw_states, simulate_block
+from bbp_secrecy.channel import block_seeds, simulate_block
 from bbp_secrecy.estimators import collect_stats, estimate_rates
 from bbp_secrecy.model import ModelConfig, compute_schedule, prefix_cells, step_entropies
 from bbp_secrecy.oracle import _lumped_law, verify_against_closed_forms
+from helpers import G_TEST_LEVEL, g_test, other_eavesdropper_state
 
 LS = (2, 5, 8, 12)
 
@@ -150,7 +151,7 @@ MC_TABLE = prefix_probability_table(MC_SCHEDULE)
 @pytest.fixture(scope="module")
 def mc_run():
     t0 = time.perf_counter()
-    main_est, leak_est, stats = estimate_rates(MC_CONFIG, workers=1)
+    main_est, leak_est, stats = estimate_rates(MC_CONFIG, workers=2)
     elapsed = time.perf_counter() - t0
     return main_est, leak_est, stats, elapsed
 
@@ -199,44 +200,16 @@ def test_c6_prefix_flip_within_three_sigma(mc_run, j, prefix, closed):
 # --- criterion 6, exact: the simulator against the exact law at (32, 8, 5) --
 #
 # The lumped chain gives the exact joint law of the C6 policy (136 patterns,
-# integer weights over one denominator).  The simulated blocks follow it, so
+# counts of receiver-state pairs over K²).  The simulated blocks follow it, so
 # each C6 failure above is the distance between that law and the closed forms;
 # the exact twins state that distance without sampling error.
 
 C6_LAW, C6_DENOMINATOR = _lumped_law(32, MC_SCHEDULE.c_int)
-G_TEST_LEVEL = 1e-3  # fixed before the test was first run
-
-
-def _chi2_upper_tail(x: float, dof: int) -> float:
-    """P(chi^2_dof >= x) by the Wilson-Hilferty cube-root normal approximation."""
-    v = 2 / (9 * dof)
-    z = ((x / dof) ** (1 / 3) - (1 - v)) / math.sqrt(v)
-    return 0.5 * math.erfc(z / math.sqrt(2))
-
-
-def _g_test(counts, law: dict, denominator: int) -> tuple[float, int, float]:
-    """(G, dof, p) of (y_l, y_e) pattern counts against an exact law, cells
-    with fewer than 5 expected blocks pooled into one."""
-    n = sum(counts.values())
-    assert set(counts) <= set(law), "a simulated pattern has exact probability 0"
-    cells, pooled = [], [0, 0.0]
-    for pattern, weight in law.items():
-        seen, expected = counts.get(pattern, 0), n * weight / denominator
-        if expected < 5:
-            pooled[0] += seen
-            pooled[1] += expected
-        else:
-            cells.append((seen, expected))
-    if pooled[1]:
-        cells.append(pooled)
-    g = 2 * sum(seen * math.log(seen / expected) for seen, expected in cells if seen)
-    dof = len(cells) - 1
-    return g, dof, _chi2_upper_tail(g, dof)
 
 
 def test_c6_simulated_patterns_follow_the_exact_law(mc_run):
     # G-test of the fixture's pattern counts.
-    g, dof, p = _g_test(mc_run[2].pattern_counts, C6_LAW, C6_DENOMINATOR)
+    g, dof, p = g_test(mc_run[2].pattern_counts, C6_LAW, C6_DENOMINATOR)
     _report(
         f"C6 simulated patterns follow the exact law (G-test, p >= {G_TEST_LEVEL:g})",
         p >= G_TEST_LEVEL,
@@ -250,7 +223,7 @@ def test_wide_simulated_patterns_follow_the_exact_law():
     # first run.
     config = ModelConfig(K=256, L=12, B=16, seed=2201, blocks=2 * 10**4)
     law, denominator = _lumped_law(256, compute_schedule(256, 16, 12).c_int)
-    g, dof, p = _g_test(collect_stats(config, workers=1).pattern_counts, law, denominator)
+    g, dof, p = g_test(collect_stats(config, workers=1).pattern_counts, law, denominator)
     _report(
         f"(256,16,12) simulated patterns follow the exact law (G-test, p >= {G_TEST_LEVEL:g})",
         p >= G_TEST_LEVEL,
@@ -324,12 +297,6 @@ C7_GRID = [(4, 1, 3), (8, 2, 4), (16, 4, 3), (32, 8, 5), (64, 16, 2)]
 C7_BLOCKS = 20_000  # per grid point; 10^5 in total
 
 
-def _other_eavesdropper_state(K, rng):
-    """``channel.draw_states`` with both draws taken, the eavesdropper moved one beam on."""
-    s_l, s_e = draw_states(K, rng)
-    return s_l, s_e % K + 1
-
-
 @pytest.fixture(scope="module")
 def structural_scan():
     t0 = time.perf_counter()
@@ -340,7 +307,7 @@ def structural_scan():
         words = list(block_seeds(29, 0, C7_BLOCKS))
         blocks = [simulate_block(sched, random.Random(word)) for word in words]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(channel, "draw_states", _other_eavesdropper_state)
+            mp.setattr(channel, "draw_states", other_eavesdropper_state)
             replays = [simulate_block(sched, random.Random(word)) for word in words]
         for tr, rep in zip(blocks, replays):
             if any(p.card > budget for p in tr.probes):

@@ -20,6 +20,7 @@ from bbp_secrecy.channel import (
     simulate_block,
 )
 from bbp_secrecy.model import compute_schedule, pack_bits
+from helpers import other_eavesdropper_state
 
 
 def test_beamset_roundtrip():
@@ -222,18 +223,12 @@ def test_post_detection_probe_sizes_halve():
     assert found > 10
 
 
-def _other_eavesdropper_state(K, rng):
-    """``draw_states`` with both draws taken, the eavesdropper moved one beam on."""
-    s_l, s_e = draw_states(K, rng)
-    return s_l, s_e % K + 1
-
-
 def test_replay_with_other_eavesdropper_state_is_identical():
     sched = compute_schedule(16, 4, 4)
     for word in block_seeds(21, 0, 200):
         tr = simulate_block(sched, random.Random(word))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(channel, "draw_states", _other_eavesdropper_state)
+            mp.setattr(channel, "draw_states", other_eavesdropper_state)
             rep = simulate_block(sched, random.Random(word))
         assert [p.mask for p in rep.probes] == [p.mask for p in tr.probes]
         assert rep.y_l == tr.y_l

@@ -1,10 +1,11 @@
 """Exact-law oracle tests.
 
-The oracle re-implements the probing policy as a lumped Markov chain on
-integer weights over one common denominator, so its numbers are exact.  The ground truth here is a
-brute-force walk over every probe subset of the policy for fixed receiver
-states; the tests check the chain against it on every enumerable case, then
-freeze the exact numbers and the closed-form comparisons built on them.
+The oracle re-implements the probing policy as a lumped Markov chain whose
+weights count the receiver-state pairs (s_l, s_e) behind each pattern, over
+K², so its numbers are exact.  The ground truth here is a brute-force walk
+over every probe subset of the policy for fixed receiver states; the tests
+check the chain against it on every enumerable case, then freeze the exact
+numbers and the closed-form comparisons built on them.
 """
 
 import hashlib
@@ -35,6 +36,7 @@ from bbp_secrecy.oracle import (
     exact_enumeration,
     verify_against_closed_forms,
 )
+from helpers import G_TEST_LEVEL, g_test
 
 # Every instance within the guard rails with B in steps of 0.5 (an integer B
 # stays an int); 198 of the 280 have a fractional, floored schedule.
@@ -96,6 +98,37 @@ def test_lumped_law_equals_probe_path_walk(K, B, L):
     assert enum.total_mass == 1
 
 
+PAST_THE_RAIL = [(32, 8, 5), (256, 16, 12), (48, 5.5, 8)]
+
+
+def _pair_counts(K, c_int):
+    """The chain's weights, checked to share out the K² receiver-state pairs."""
+    weights, denominator = _lumped_law(K, c_int)
+    assert denominator == K * K == sum(weights.values())
+    return weights
+
+
+@pytest.mark.parametrize("K,B,L", ENUMERABLE_CASES + PAST_THE_RAIL)
+def test_weights_count_receiver_state_pairs(K, B, L):
+    # The beams are independent and uniform, so a pattern's probability is
+    # the number of the K² pairs (s_l, s_e) that produce it, over K².
+    weights = _pair_counts(K, compute_schedule(K, B, L).c_int)
+    if K <= MAX_K and L <= MAX_L:
+        walked = _walked_mixture(K, B, L).items()
+        assert weights == {(pack_bits(yl), pack_bits(ye)): K * K * p for (yl, ye), p in walked}
+
+
+def test_over_asking_schedule_weights_count_receiver_state_pairs():
+    # After a first miss the second probe asks for 9 of the 5 beams left and
+    # takes the whole pool.
+    weights = _pair_counts(8, (3, 9))
+    walked = defaultdict(int)
+    for s_e, pairs in ((1, 8), (2, 8 * 7)):
+        for (yl, ye), p in _walk_probe_paths(8, (3, 9), 2, 1, s_e).items():
+            walked[pack_bits(yl), pack_bits(ye)] += pairs * p
+    assert weights == dict(walked)
+
+
 @pytest.mark.parametrize(
     "K,B,L,support,main,leak",
     [
@@ -118,17 +151,19 @@ def test_integer_chain_runs_past_the_guard_rails(K, B, L, support, main, leak):
 def test_lumped_law_key_order_is_frozen():
     # The order of the law's keys fixes the order in which step_entropies
     # adds floats, so it is part of every report's bits.  Digest of each
-    # law's items and denominator, measured on the per-branch-tuple chain.
+    # law's keys with their exact probabilities, which pins the order and
+    # every value but not how the weights are scaled; measured on the chain
+    # that rescaled every step to the lcm of its denominators.
     cases = [(K, B, L) for K, B, L in ENUMERABLE_CASES if isinstance(B, int)]
     cases = [case for case in cases if compute_schedule(*case).is_integral]
     cases += [(32, 8, 5), (256, 16, 12), (48, 5.5, 8)]
     digest = hashlib.sha256()
     for K, B, L in cases:
         law, denominator = _lumped_law(K, compute_schedule(K, B, L).c_int)
-        digest.update(repr((list(law.items()), denominator)).encode())
+        digest.update(repr([(key, Fraction(w, denominator)) for key, w in law.items()]).encode())
     assert len(cases) == 65
     assert digest.hexdigest() == (
-        "11ef7c1ab3934b15a4c76c27f006a0815d992410a9d8865e988bab7b46a3dab3"
+        "36b408bada112234488300dcbff24eb5bb11f72ee451e9ec0e2d7b48c334ab7b"
     )
 
 
@@ -339,36 +374,15 @@ def test_state_reduction_matches_full_state_enumeration():
     assert dict(full) == exact_enumeration(4, 1, 2).law == _walked_mixture(4, 1, 2)
 
 
-def _chi2_upper_tail(x, dof):
-    # Wilson-Hilferty: (x/dof)^(1/3) is close to normal with mean 1 - 2/(9 dof)
-    # and variance 2/(9 dof).
-    v = 2 / (9 * dof)
-    z = ((x / dof) ** (1 / 3) - (1 - v)) / math.sqrt(v)
-    return 0.5 * math.erfc(z / math.sqrt(2))
-
-
 @pytest.mark.parametrize(
     "K,B,L", [(8, 2, 2), (8, 2, 4), (7, 3, 3), (8, 1, 4), (2, 1, 2), (5, 2, 4), (8, 3, 3)]
 )
 def test_enumeration_matches_monte_carlo(K, B, L):
-    # G-test of the simulated pattern histogram against the exact law; cells
-    # expecting fewer than 5 blocks are pooled into one.
-    N = 20_000
-    law = {(pack_bits(yl), pack_bits(ye)): p for (yl, ye), p in exact_enumeration(K, B, L).law.items()}
-    counts = collect_stats(ModelConfig(K=K, L=L, B=B, seed=11, blocks=N)).pattern_counts
-    assert set(counts) <= set(law)
-    bins = []  # (observed, expected)
-    pooled = [0, 0.0]
-    for key, p in law.items():
-        cell = (counts.get(key, 0), N * float(p))
-        if cell[1] < 5:
-            pooled = [pooled[0] + cell[0], pooled[1] + cell[1]]
-        else:
-            bins.append(cell)
-    if pooled[1]:
-        bins.append(tuple(pooled))
-    g = 2 * sum(n * math.log(n / e) for n, e in bins if n)
-    assert _chi2_upper_tail(g, len(bins) - 1) >= 1e-3, (g, len(bins) - 1)
+    # G-test of the simulated pattern histogram against the exact law.
+    enum = exact_enumeration(K, B, L)
+    counts = collect_stats(ModelConfig(K=K, L=L, B=B, seed=11, blocks=20_000)).pattern_counts
+    g, dof, p = g_test(counts, enum.weights, enum.denominator)
+    assert p >= G_TEST_LEVEL, (g, dof)
 
 
 @pytest.mark.parametrize("K,B,L", [(8, 2, 3), (8, 2, 4)])
