@@ -11,10 +11,10 @@ The block transcripts are reduced to a pair of packed L-bit patterns
 those pattern counts by ``model.prefix_cells``, the same code the exact
 oracle runs on its law.  Standard errors come from batch means: blocks are
 split into max(1, min(``GROUPS``, blocks // ``MIN_GROUP_BLOCKS``)) contiguous
-groups, the plug-in rate is recomputed per non-empty group, and the standard
-error is the standard deviation of those group rates divided by the square
-root of their number (nan with one group).  A group of one block has plug-in
-rate 0, so every group holds at least ``MIN_GROUP_BLOCKS`` blocks.
+groups, the plug-in rate is recomputed per group, and the standard error is
+the standard deviation of those group rates divided by the square root of
+their number (nan with one group).  A group of one block has plug-in rate 0,
+so every group holds at least ``MIN_GROUP_BLOCKS`` blocks, or all of them.
 
 Parallelism: group g holds blocks ceil(gN/G) .. ceil((g+1)N/G) - 1 of N
 blocks in G groups, and each worker counts a contiguous run of whole groups;
@@ -186,8 +186,8 @@ def estimate_rates(
     """One simulation pass giving (main rate, leakage, raw stats)."""
     stats = collect_stats(config, schedule, workers, dump_path)
     values = _plug_in_rates(stats.pattern_counts, stats.L)
-    groups = [_plug_in_rates(c, stats.L) for c in stats.group_counts if c]
-    main, leak = map(_rate_estimate, values, zip(*groups))  # every block is in a group
+    groups = [_plug_in_rates(c, stats.L) for c in stats.group_counts]
+    main, leak = map(_rate_estimate, values, zip(*groups))
     return main, leak, stats
 
 

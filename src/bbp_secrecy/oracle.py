@@ -110,12 +110,13 @@ def _lumped_law(K: int, c_int: tuple[int, ...]) -> tuple[dict, int]:
 
 @dataclass
 class EnumerationResult:
-    """Exact transcript law of the instance ``schedule`` carries, plus its rates.
+    """Exact transcript law of the instance ``schedule`` carries, plus its step entropies.
 
     Each weight counts receiver-state pairs (s_l, s_e), a probability times
     ``denominator`` = K²: of each packed (y_l, y_e) pattern (``weights``),
     each eavesdropper prefix cell (``eav_cells``, as ``model.prefix_cells``)
-    and the two ``flip_mass_after_joint_*`` rows.
+    and the two ``flip_mass_after_joint_*`` rows.  The main rate and the
+    leakage are ``left_sum(steps) / L`` of ``main_steps`` and ``leakage_steps``.
     """
 
     schedule: ExplorationSchedule
@@ -134,12 +135,10 @@ class EnumerationResult:
         return {(bits[yl], bits[ye]): Fraction(w, d) for (yl, ye), w in self.weights.items()}
 
     total_mass = property(lambda self: Fraction(sum(self.weights.values()), self.denominator))
-    main_rate = property(lambda self: left_sum(self.main_steps) / self.schedule.L)
-    leakage = property(lambda self: left_sum(self.leakage_steps) / self.schedule.L)
 
 
 def exact_enumeration(K: int, B: float, L: int) -> EnumerationResult:
-    """Exact joint feedback law for one instance, with its derived rates.
+    """Exact joint feedback law for one instance, with its step entropies.
 
     The law is that of the floored schedule ``c_int``, as simulated.  The
     statistics run on the chain's pair counts over K²; ``int / int`` rounds
@@ -202,13 +201,11 @@ class VerificationReport:
     t3: T3Adjudication
     notes: list[str]
 
-    @property
-    def ok(self) -> bool:
-        """True when every non-informational quantity matches within tol."""
-        return all(r.abs_dev <= self.tol for r in self.rows if not r.informational)
-
     def failing(self) -> list[ReportRow]:
-        return [r for r in self.rows if not r.informational and r.abs_dev > self.tol]
+        """The non-informational rows not within tol, a NaN deviation among them."""
+        return [r for r in self.rows if not r.informational and not r.abs_dev <= self.tol]
+
+    ok = property(lambda self: not self.failing())
 
     def render(self) -> str:
         s = self.schedule
@@ -244,7 +241,7 @@ class VerificationReport:
         lines.append("")
         n_bad = len(self.failing())
         n_core = sum(1 for r in self.rows if not r.informational)
-        verdict = "MATCH" if self.ok else "MISMATCH"
+        verdict = "MISMATCH" if n_bad else "MATCH"
         lines.append(
             f"overall: {verdict} ({n_core - n_bad} of {n_core} quantities within {self.tol:g})"
         )
@@ -307,7 +304,7 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
         rows.append(ReportRow(f"main_step_entropy_j{j}", step, exact))
         step_bad = step_bad or abs(step - exact) > TOL
     if L >= 2:
-        rows.append(ReportRow("outer_bound", closed[0].prefix(L)[0], enum.main_rate))
+        rows.append(ReportRow("outer_bound", closed[0].prefix(L)[0], left_sum(enum.main_steps) / L))
 
     deep, oracle_value = [], 0.0
     for j, k, prefix, mass_name, flip_name in _PREFIX_ROWS[: L * (L + 1) // 2]:
@@ -328,7 +325,7 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
     rows.append(ReportRow("flip_mass_after_joint_10", 0.0, enum.mixed[0] / denominator))
     rows.append(ReportRow("flip_mass_after_joint_01", 0.0, enum.mixed[1] / denominator))
 
-    leakage = enum.leakage
+    leakage = left_sum(enum.leakage_steps) / L
     for variant, pt in zip(variants, closed):  # the variants coincide for L <= 3
         name = f"leakage_rate[t3={variant}]" if applicable else "leakage_rate"
         rows.append(ReportRow(name, pt.prefix(L)[1], leakage, applicable))

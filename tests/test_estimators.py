@@ -2,6 +2,7 @@ import _random
 import concurrent.futures
 import hashlib
 import math
+import multiprocessing
 import os
 import random
 from collections import Counter
@@ -189,16 +190,24 @@ def test_stderr_needs_at_least_two_groups():
     assert main.value in (0.0, binary_entropy(1.0))  # one block, degenerate rate
 
 
-@pytest.mark.parametrize("blocks", [10, 19, 20, 150, 999, 1000, 2500])
-def test_batch_means_groups_hold_at_least_min_group_blocks(blocks):
-    # A group of one block has plug-in rate 0, which would make the stderr 0.
-    stats = collect_stats(ModelConfig(K=4, L=1, B=1, seed=3, blocks=blocks))
-    sizes = [sum(g.values()) for g in stats.group_counts]
-    assert sum(sizes) == blocks
-    assert (len(sizes) == 1) == (blocks < 2 * MIN_GROUP_BLOCKS)
-    if len(sizes) >= 2:
-        assert min(sizes) >= MIN_GROUP_BLOCKS
-    assert (len(sizes) == GROUPS) == (blocks >= GROUPS * MIN_GROUP_BLOCKS)
+@pytest.mark.parametrize("blocks", [1, 9, 10, 19, 20, 150, 999, 1000, 1001, 2500])
+def test_batch_means_groups_hold_at_least_min_group_blocks(monkeypatch, blocks):
+    # A group of one block has plug-in rate 0, which would make the stderr 0;
+    # estimate_rates takes the rate of every group, so none may be empty.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = ModelConfig(K=4, L=1, B=1, seed=3, blocks=blocks)
+    for workers in (1, 2):
+        sizes = [sum(g.values()) for g in collect_stats(cfg, workers=workers).group_counts]
+        assert sum(sizes) == blocks
+        assert min(sizes) >= min(blocks, MIN_GROUP_BLOCKS)
+        assert (len(sizes) == 1) == (blocks < 2 * MIN_GROUP_BLOCKS)
+        assert (len(sizes) == GROUPS) == (blocks >= GROUPS * MIN_GROUP_BLOCKS)
+
+
+def test_worker_processes_are_gone_when_estimate_rates_returns(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    estimate_rates(ModelConfig(K=8, L=2, B=2, seed=5, blocks=400), workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_transcript_dump_agrees_with_counts(tmp_path):

@@ -36,7 +36,7 @@ from bbp_secrecy.oracle import (
     exact_enumeration,
     verify_against_closed_forms,
 )
-from helpers import G_TEST_LEVEL, g_test
+from helpers import G_TEST_LEVEL, g_test, policy_main_rate
 
 # Every instance within the guard rails with B in steps of 0.5 (an integer B
 # stays an int); 198 of the 280 have a fractional, floored schedule.
@@ -148,6 +148,22 @@ def test_integer_chain_runs_past_the_guard_rails(K, B, L, support, main, leak):
     assert [left_sum(step_entropies(c, denominator)) / L for c in cells] == [main, leak]
 
 
+def test_exact_main_rate_equals_the_closed_formula():
+    # L·main = log2 K - (1/K) sum l·log2 l over the cells of beams each y_l
+    # pattern leaves; the formula is independent of the chain, so it checks
+    # the chain past the guard rails too.
+    for K, B, L in ENUMERABLE_CASES:
+        enum = exact_enumeration(K, B, L)
+        closed = policy_main_rate(K, enum.schedule.c_int)
+        assert left_sum(enum.main_steps) / L == pytest.approx(closed, abs=1e-12)
+    pinned = [(32, 8, 5, 0.9), (256, 16, 12, 0.4895833333333333), (1024, 64, 16, 0.546875)]
+    for K, B, L, main in pinned:
+        c_int = compute_schedule(K, B, L).c_int
+        weights, denominator = _lumped_law(K, c_int)
+        exact = left_sum(step_entropies(prefix_cells(weights, L)[0], denominator)) / L
+        assert (exact, policy_main_rate(K, c_int)) == (main, main)
+
+
 def test_lumped_law_key_order_is_frozen():
     # The order of the law's keys fixes the order in which step_entropies
     # adds floats, so it is part of every report's bits.  Digest of each
@@ -225,15 +241,18 @@ def test_mixed_weights_count_hits_after_the_first_mixed_step(monkeypatch):
 
 @pytest.mark.usefixtures("compensated_sum")
 def test_exact_rates_are_left_to_right_sums():
-    # From Python 3.12 sum() of floats is compensated; the exact rates and
-    # with them the reports hold the same bits on every version.
+    # From Python 3.12 sum() of floats is compensated; the exact rates the
+    # reports print hold the same bits on every version.
     for case in ENUMERABLE_CASES:
         enum = exact_enumeration(*case)
-        for rate, steps in ((enum.main_rate, enum.main_steps), (enum.leakage, enum.leakage_steps)):
+        rows = verify_against_closed_forms(*case).rows
+        for name, steps in (("outer_bound", enum.main_steps), ("leakage_rate", enum.leakage_steps)):
             total = 0.0
             for step in steps:
                 total += step
-            assert rate.hex() == (total / case[2]).hex()
+            rates = [row.oracle.hex() for row in rows if row.quantity.startswith(name)]
+            assert rates == [(total / case[2]).hex()] * len(rates)
+            assert rates or case[2] == 1  # L = 1 has no outer_bound row
     test_verify_reports_are_frozen()
 
 
@@ -297,7 +316,7 @@ def test_two_step_case_matches_closed_forms_exactly():
 
 
 def test_single_step_main_rate_is_exact():
-    assert exact_enumeration(4, 1, 1).main_rate == binary_entropy(0.25)
+    assert exact_enumeration(4, 1, 1).main_steps == [binary_entropy(0.25)]
 
 
 def test_three_step_case_departs_from_closed_forms():
@@ -307,7 +326,7 @@ def test_three_step_case_departs_from_closed_forms():
     assert _eav_prefix(enum, (0, 0)) == (Fraction(9, 16), Fraction(2, 9))
     assert _eav_prefix(enum, (1, 0)) == (Fraction(7, 32), Fraction(1, 14))
     assert _eav_prefix(enum, (1, 1)) == (Fraction(1, 32), Fraction(1, 2))
-    assert enum.leakage == 0.7399430463420794
+    assert left_sum(enum.leakage_steps) / 3 == 0.7399430463420794
     assert enum.main_steps[2] == 0.75
 
     report = verify_against_closed_forms(8, 2, 3)
@@ -320,6 +339,18 @@ def test_three_step_case_departs_from_closed_forms():
         "leakage_rate",
     ]
     assert len(report.notes) == 2
+
+
+def test_a_nan_row_fails_the_verdict_and_is_listed():
+    # failing() is the one tolerance rule: ok and the overall line read it,
+    # so a NaN deviation cannot pass for a match nor drop out of the count.
+    rows = [oracle.ReportRow("a", 0.5, 0.5), oracle.ReportRow("b", 0.5, math.nan)]
+    report = oracle.VerificationReport(
+        compute_schedule(8, 2, 2), oracle.TOL, rows, oracle.T3Adjudication(False), []
+    )
+    assert not report.ok
+    assert report.failing() == rows[1:]
+    assert report.render().endswith("overall: MISMATCH (1 of 2 quantities within 1e-12)")
 
 
 def test_deep_term_adjudication_picks_state_summed():
@@ -395,7 +426,7 @@ def test_estimator_statistics_on_scaled_exact_law_match_the_oracle(K, B, L):
         {(pack_bits(yl), pack_bits(ye)): int(p * scale) for (yl, ye), p in enum.law.items()}
     )
     assert sum(counts.values()) == scale
-    rates = [enum.main_rate, enum.leakage]
+    rates = [left_sum(steps) / L for steps in (enum.main_steps, enum.leakage_steps)]
     assert _plug_in_rates(counts, L) == pytest.approx(rates, abs=1e-12)
     cells = prefix_cells(counts, L)[1]
     for j in range(1, L + 1):
