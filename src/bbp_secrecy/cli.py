@@ -11,14 +11,16 @@ Exit codes: 0 success, 1 usage error (including guard-rail refusals),
 2 runtime/I-O error, 3 verification mismatch.
 
 Options may also be supplied through ``--config FILE`` holding ``key=value``
-lines (``#`` comments allowed); explicit flags override file values.  The
-``BBP_THREADS`` environment variable caps Monte Carlo worker processes.
+lines (``#`` comments allowed); explicit flags override file values.
+Only ``simulate`` reads the ``BBP_THREADS`` environment variable, its
+worker-process count (default 1), and passes it to ``estimate_rates``.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .bounds import bound_point, closed_forms
@@ -142,9 +144,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "only approximate",
             file=sys.stderr,
         )
-    main_est, leak_est, stats = estimate_rates(
-        config, sched, dump_path=args.dump_transcripts
-    )
+    threads = os.environ.get("BBP_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise ValueError(f"BBP_THREADS must be an integer, got {threads!r}") from None
+    main_est, leak_est, stats = estimate_rates(config, sched, workers, args.dump_transcripts)
     closed = closed_forms(sched)
     # The main entropy rate, not .outer: the outer bound is 0 at L = 1.
     closed_main = closed.main_totals[-1] / args.L

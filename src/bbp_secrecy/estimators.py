@@ -16,10 +16,12 @@ the standard deviation of those group rates divided by the square root of
 their number (nan with one group).  A group of one block has plug-in rate 0,
 so every group holds at least ``MIN_GROUP_BLOCKS`` blocks, or all of them.
 
-Parallelism: group g holds blocks ceil(gN/G) .. ceil((g+1)N/G) - 1 of N
-blocks in G groups, and each worker counts a contiguous run of whole groups;
-each block seeds its generator from (seed, block index), so the counts are
-identical for any worker count.
+Parallelism: the worker count is the caller's ``workers`` argument, 1 by
+default; for the command line ``cli.cmd_simulate`` chooses it.  Group g
+holds blocks ceil(gN/G) .. ceil((g+1)N/G) - 1 of N blocks in G groups, and
+each worker counts a contiguous run of whole groups; each block seeds its
+generator from (seed, block index), so the counts are identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -71,8 +73,6 @@ class TranscriptStats:
 def _plug_in_rates(counts: Counter, L: int) -> list[float]:
     """Plug-in (1/L) sum_j H(Y_j | Y^{j-1}) of y_l and of y_e from pattern counts."""
     total = sum(counts.values())
-    if total == 0:
-        raise ValueError("no blocks accumulated")
     return [left_sum(step_entropies(cells, total)) / L for cells in prefix_cells(counts, L)]
 
 
@@ -124,18 +124,17 @@ def resolve_workers(requested: int, groups: int) -> int:
 def collect_stats(
     config: ModelConfig,
     schedule: ExplorationSchedule | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     dump_path: str | None = None,
 ) -> TranscriptStats:
     """Simulate ``config.blocks`` blocks and accumulate pattern counts.
 
-    ``workers`` defaults to the BBP_THREADS environment variable (else 1; a
-    non-integer value raises ``ValueError``) and is capped by
-    :func:`resolve_workers` at the batch-means group count; each worker
-    counts a contiguous run of whole groups, so the result is independent of
-    the worker count.  Transcript dumping forces a single worker so the dump
-    order is the block order.  K above ``MAX_SIMULATED_BEAMS`` is refused,
-    and so is a ``schedule`` built for another (K, B, L) than ``config``'s.
+    ``workers`` is capped by :func:`resolve_workers` at the CPU count and
+    the batch-means group count; each worker counts a contiguous run of
+    whole groups, so the result is independent of the worker count.
+    Transcript dumping forces a single worker so the dump order is the block
+    order.  K above ``MAX_SIMULATED_BEAMS`` is refused, and so is a
+    ``schedule`` built for another (K, B, L) than ``config``'s.
     """
     if config.blocks <= 0:
         raise ValueError("config.blocks must be positive for simulation")
@@ -145,12 +144,6 @@ def collect_stats(
     schedule = schedule or compute_schedule(*instance)
     if (schedule.K, schedule.B, schedule.L) != instance:
         raise ValueError(f"schedule (K, B, L) differs from the config's {instance}")
-    if workers is None:
-        threads = os.environ.get("BBP_THREADS", "1")
-        try:
-            workers = int(threads)
-        except ValueError:
-            raise ValueError(f"BBP_THREADS must be an integer, got {threads!r}") from None
     groups = max(1, min(GROUPS, config.blocks // MIN_GROUP_BLOCKS))
     edges = [-(-g * config.blocks // groups) for g in range(groups + 1)]  # ceil(gN/G)
     workers = 1 if dump_path is not None else resolve_workers(workers, groups)
@@ -180,7 +173,7 @@ def _rate_estimate(value: float, group_rates: tuple[float, ...]) -> RateEstimate
 def estimate_rates(
     config: ModelConfig,
     schedule: ExplorationSchedule | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     dump_path: str | None = None,
 ) -> tuple[RateEstimate, RateEstimate, TranscriptStats]:
     """One simulation pass giving (main rate, leakage, raw stats)."""

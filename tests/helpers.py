@@ -1,5 +1,6 @@
 """Checks shared by the test modules: a G-test against an exact law, a replay
-state and the policy's exact main rate in closed form."""
+state, the policy's exact main rate in closed form and the condition under
+which it equals the paper's."""
 
 import math
 from functools import cache
@@ -74,3 +75,16 @@ def policy_main_rate(K: int, c_int: tuple[int, ...]) -> float:
     total = unprobed * math.log2(unprobed) if unprobed else 0.0
     total += sum(leaves(c, d, 1) for d, c in enumerate(c_int, 1))
     return (math.log2(K) - total / K) / L
+
+
+def outer_is_exact(sched) -> bool:
+    """Whether the policy's exact per-step main entropies are the closed ones.
+
+    The schedule is integral and 2^(L-d) divides every nonzero c_int[d-1]
+    for d < L: then every bisection after a detection at step d halves
+    exactly and none reaches a single beam before step L, so each step still
+    carries the bit the closed form charges.
+    """
+    L = sched.L
+    divisible = all(c % (1 << (L - d)) == 0 for d, c in enumerate(sched.c_int[:-1], 1))
+    return sched.is_integral and divisible

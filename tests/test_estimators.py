@@ -210,6 +210,17 @@ def test_worker_processes_are_gone_when_estimate_rates_returns(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_library_ignores_the_worker_env_var(monkeypatch):
+    # Only the CLI reads BBP_THREADS; a Python caller sets workers= itself.
+    cfg = ModelConfig(K=8, L=2, B=2, seed=1, blocks=50)
+    monkeypatch.delenv("BBP_THREADS", raising=False)
+    main, leak, stats = estimate_rates(cfg)
+    monkeypatch.setenv("BBP_THREADS", "x")
+    main_x, leak_x, stats_x = estimate_rates(cfg)
+    assert (main_x, leak_x) == (main, leak)
+    assert stats_x.group_counts == stats.group_counts
+
+
 def test_transcript_dump_agrees_with_counts(tmp_path):
     cfg = ModelConfig(K=8, L=4, B=2, seed=23, blocks=500)
     dump = tmp_path / "blocks.txt"

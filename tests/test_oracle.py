@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from bbp_secrecy import oracle
+from bbp_secrecy.bounds import bound_point, closed_forms
 from bbp_secrecy.estimators import _plug_in_rates, collect_stats
 from bbp_secrecy.model import (
     ModelConfig,
@@ -36,7 +37,7 @@ from bbp_secrecy.oracle import (
     exact_enumeration,
     verify_against_closed_forms,
 )
-from helpers import G_TEST_LEVEL, g_test, policy_main_rate
+from helpers import G_TEST_LEVEL, g_test, outer_is_exact, policy_main_rate
 
 # Every instance within the guard rails with B in steps of 0.5 (an integer B
 # stays an int); 198 of the 280 have a fractional, floored schedule.
@@ -162,6 +163,39 @@ def test_exact_main_rate_equals_the_closed_formula():
         weights, denominator = _lumped_law(K, c_int)
         exact = left_sum(step_entropies(prefix_cells(weights, L)[0], denominator)) / L
         assert (exact, policy_main_rate(K, c_int)) == (main, main)
+
+
+def _exact_main_steps(sched):
+    weights, denominator = _lumped_law(sched.K, sched.c_int)
+    return step_entropies(prefix_cells(weights, sched.L)[0], denominator)
+
+
+def test_exact_main_steps_equal_the_closed_ones_iff_outer_is_exact():
+    # The if-and-only-if on every K = 2..16, B in halves up to K and L = 1..5.
+    cases = [(K, h / 2, L) for K in range(2, 17) for h in range(1, 2 * K + 1) for L in range(1, 6)]
+    disagree = []
+    for case in cases:
+        sched = compute_schedule(*case)
+        closed = closed_forms(sched).main_steps
+        equal = _exact_main_steps(sched) == pytest.approx(closed, abs=1e-12)
+        if equal != outer_is_exact(sched):
+            disagree.append(case)
+    assert len(cases) == 1350 and disagree == []
+    # Past the rail where the condition holds, the exact main rate is the
+    # closed outer bound; (1024, 112, 5) scales (32, 3.5, 5) by 32.
+    outer_32 = bound_point(32, 3.5, 5).outer
+    exact = [(64, 16, 5, 0.95), (32768, 2048, 12, 0.6354166666666666), (1024, 112, 5, outer_32)]
+    for K, B, L, main in exact:
+        sched = compute_schedule(K, B, L)
+        assert outer_is_exact(sched)
+        assert (left_sum(_exact_main_steps(sched)) / L, bound_point(K, B, L).outer) == (main, main)
+    assert outer_32 == 0.6714410277165134
+    for case in [(32, 8, 5), (256, 16, 12), (32, 3.5, 5)]:
+        assert not outer_is_exact(compute_schedule(*case))
+    # (32, 8, 5): the quarter of blocks that detected at step 1 have bisected
+    # 8 -> 4 -> 2 -> 1 by step 4, so step 5 carries 3/4 of a bit, not 1.
+    sched = compute_schedule(32, 8, 5)
+    assert (_exact_main_steps(sched)[4], closed_forms(sched).main_steps[4]) == (0.75, 1.0)
 
 
 def test_lumped_law_key_order_is_frozen():

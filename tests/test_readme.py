@@ -53,6 +53,15 @@ def test_package_exports_exist_once():
         assert hasattr(bbp_secrecy, name), name
 
 
+def test_package_root_exports_readme_import_block():
+    # The root holds the entry points README's Python API imports, no more.
+    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    block = re.search(r"from bbp_secrecy import \((.*?)\)", section, re.S).group(1)
+    names = sorted(re.findall(r"\w+", block))
+    assert len(names) == 6
+    assert sorted(bbp_secrecy.__all__) == names
+
+
 def test_package_import_leaves_pools_and_numpy_unloaded():
     # Startup cost: the process pool is imported only when workers > 1, and
     # numpy only by the tests.  A fresh interpreter shows what the import pulls in.
