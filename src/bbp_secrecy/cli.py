@@ -131,8 +131,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.blocks < 1:
-        raise ValueError("blocks must be >= 1")
     config = ModelConfig(
         K=args.K, L=args.L, B=args.B, seed=args.seed, blocks=args.blocks
     )
@@ -177,7 +175,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"cost_violations={stats.cost_violations} "
         f"unseen_table_prefixes={len(unseen_table_prefixes(stats))}"
     )
-    if args.dump_transcripts:
+    if args.dump_transcripts is not None:
         print(f"transcripts written to {args.dump_transcripts}")
     return EXIT_OK
 
@@ -246,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.config:
+        if args.config is not None:
             # File values become the subcommand's defaults: argparse then
             # converts them with each option's type, and flags still win.
             options = {k for k in vars(args) if not k.startswith("_")} - {"command", "config"}

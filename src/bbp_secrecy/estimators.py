@@ -21,7 +21,8 @@ default; for the command line ``cli.cmd_simulate`` chooses it.  Group g
 holds blocks ceil(gN/G) .. ceil((g+1)N/G) - 1 of N blocks in G groups, and
 each worker counts a contiguous run of whole groups; each block seeds its
 generator from (seed, block index), so the counts are identical for any
-worker count.
+worker count.  ``ModelConfig`` checks the run (K, seed, blocks) when it is
+built; ``collect_stats`` checks only that a schedule is the config's.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .model import left_sum, prefix_cells, step_entropies
 
 GROUPS = 100
 MIN_GROUP_BLOCKS = 10
-MAX_SIMULATED_BEAMS = 2**20  # every block lists its K-beam pool
 
 
 @dataclass
@@ -100,7 +100,7 @@ def _collect_range(
     seeds = block_seeds(config.seed, edges[0], edges[-1])
     rng = random.Random()  # reseed(word) leaves Random(word)'s state; no gauss is drawn
     reseed = super(random.Random, rng).seed  # Random.seed minus type checks and gauss reset
-    with open(dump_path, "w", encoding="utf-8") if dump_path else nullcontext() as dump:
+    with open(dump_path, "w", encoding="utf-8") if dump_path is not None else nullcontext() as dump:
         for start, stop in zip(edges, edges[1:]):
             counts = Counter()
             for word in islice(seeds, stop - start):
@@ -133,13 +133,9 @@ def collect_stats(
     the batch-means group count; each worker counts a contiguous run of
     whole groups, so the result is independent of the worker count.
     Transcript dumping forces a single worker so the dump order is the block
-    order.  K above ``MAX_SIMULATED_BEAMS`` is refused, and so is a
-    ``schedule`` built for another (K, B, L) than ``config``'s.
+    order.  ``ModelConfig`` has already checked the run (K, seed, blocks);
+    a ``schedule`` built for another (K, B, L) than ``config``'s is refused.
     """
-    if config.blocks <= 0:
-        raise ValueError("config.blocks must be positive for simulation")
-    if config.K > MAX_SIMULATED_BEAMS:
-        raise ValueError(f"simulation limited to K <= 2**20 = {MAX_SIMULATED_BEAMS}")
     instance = (config.K, config.B, config.L)
     schedule = schedule or compute_schedule(*instance)
     if (schedule.K, schedule.B, schedule.L) != instance:

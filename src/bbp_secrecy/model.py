@@ -34,6 +34,7 @@ from math import log2
 # 1.8e308 it overflows one); at L = 1024 the prefix table lists 524 800 prefixes.
 MAX_BEAMS = 2**53
 MAX_USES = 1024
+MAX_SIMULATED_BEAMS = 2**20  # every simulated block lists its K-beam pool
 
 
 def binary_entropy(p: float) -> float:
@@ -143,12 +144,12 @@ def check_instance(K: int, B: float, L: int) -> None:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """One simulation run: the (K, B, L) instance, its seed and block count.
+    """One simulation run, every field checked here: the (K, B, L) instance, seed, block count.
 
     Attributes
     ----------
     K : int
-        Number of beams, 2 <= K <= MAX_BEAMS.
+        Number of beams, 2 <= K <= MAX_SIMULATED_BEAMS.
     L : int
         Block length (channel uses per block), 1 <= L <= MAX_USES.
     B : float
@@ -156,21 +157,23 @@ class ModelConfig:
     seed : int
         Base seed for Monte Carlo; per-block generators are derived from it.
     blocks : int
-        Number of simulated blocks; the estimators need at least one.
+        Number of simulated blocks, at least one.
     """
 
     K: int
     L: int
     B: float
-    seed: int = 0
-    blocks: int = 0
+    seed: int
+    blocks: int
 
     def __post_init__(self) -> None:
         check_instance(self.K, self.B, self.L)
+        if self.K > MAX_SIMULATED_BEAMS:
+            raise ValueError(f"simulation limited to K <= 2**20 = {MAX_SIMULATED_BEAMS}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if not isinstance(self.blocks, int) or self.blocks < 0:
-            raise ValueError(f"blocks must be a non-negative integer, got {self.blocks!r}")
+        if not isinstance(self.blocks, int) or self.blocks < 1:
+            raise ValueError(f"blocks must be a positive integer, got {self.blocks!r}")
 
 
 @dataclass(frozen=True)

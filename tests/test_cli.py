@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbp_secrecy import bounds, cli, estimators, oracle
-from bbp_secrecy.estimators import MAX_SIMULATED_BEAMS, collect_stats
-from bbp_secrecy.model import MAX_USES, ModelConfig, compute_schedule
+from bbp_secrecy.estimators import collect_stats
+from bbp_secrecy.model import MAX_SIMULATED_BEAMS, MAX_USES, ModelConfig, compute_schedule
 
 
 def run(capsys, *argv):
@@ -547,6 +547,22 @@ def test_config_file_rejects_line_without_equals(tmp_path, capsys):
     assert err == f"bbp-secrecy: error: {cfg}:1: expected key=value, got 'K 32'\n"
 
 
+def _assert_one_io_error(rc, out, err):
+    assert (rc, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("bbp-secrecy: i/o error:"), err
+
+
+def test_empty_config_path_exits_runtime(capsys):
+    # An empty path names no file, so it fails like any path that cannot be opened.
+    _assert_one_io_error(*run(capsys, "verify", "--K", "8", "--B", "2", "--L", "2", "--config", ""))
+
+
+def test_empty_dump_path_exits_runtime(capsys):
+    argv = ["simulate", "--K", "8", "--B", "2", "--L", "2", "--blocks", "20", "--dump-transcripts", ""]
+    _assert_one_io_error(*run(capsys, *argv))
+
+
 def test_worker_env_var_does_not_change_output(tmp_path, capsys, monkeypatch):
     # Three workers count batch-means groups 0..12, 13..25 and 26..39 of 10
     # blocks each; enough CPUs are reported that the worker cap keeps all three.
@@ -655,7 +671,7 @@ def test_k_beyond_float_range_exits_usage(tmp_path, capsys):
     with pytest.raises(ValueError):
         compute_schedule(10**400, 2, 2)
     with pytest.raises(ValueError, match="2\\*\\*53"):
-        ModelConfig(K=2**53 + 1, L=2, B=2)
+        ModelConfig(K=2**53 + 1, L=2, B=2, seed=0, blocks=1)
     huge = str(10**400)
     for argv in (
         ["bounds", "--K", huge, "--B", "2", "--L", "2"],
@@ -688,11 +704,25 @@ def test_block_length_over_limit_exits_usage(tmp_path, capsys):
 
 def test_simulate_pool_over_limit_exits_usage(capsys):
     with pytest.raises(ValueError, match="K <= 2\\*\\*20"):
-        collect_stats(ModelConfig(K=MAX_SIMULATED_BEAMS + 1, L=2, B=2, blocks=1))
+        collect_stats(ModelConfig(K=MAX_SIMULATED_BEAMS + 1, L=2, B=2, seed=0, blocks=1))
     argv = ["simulate", "--K", str(MAX_SIMULATED_BEAMS + 1), "--B", "2", "--L", "2", "--blocks", "1"]
     rc, _, err = run(capsys, *argv)
     assert rc == 1
     _assert_one_error_line(err)
+
+
+OVERSIZE_SIMULATION = ["simulate", "--K", str(2 * MAX_SIMULATED_BEAMS), "--L", "2", "--blocks", "1"]
+K_LIMIT_ERROR = f"bbp-secrecy: error: simulation limited to K <= 2**20 = {MAX_SIMULATED_BEAMS}\n"
+
+
+def test_oversize_simulation_refused_before_flooring_warning(capsys):
+    # B = 1.5 gives a fractional schedule, whose warning must not come first.
+    assert run(capsys, *OVERSIZE_SIMULATION, "--B", "1.5") == (1, "", K_LIMIT_ERROR)
+
+
+def test_oversize_simulation_refused_before_worker_count(capsys, monkeypatch):
+    monkeypatch.setenv("BBP_THREADS", "x")
+    assert run(capsys, *OVERSIZE_SIMULATION, "--B", "2") == (1, "", K_LIMIT_ERROR)
 
 
 def test_cli_import_loads_no_numpy():

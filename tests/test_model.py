@@ -169,11 +169,13 @@ def test_schedule_saturates_at_half_k(L):
         dict(K=4, L=2, B=1, blocks=-5),
         dict(K=4, L=2, B=1, seed=1.5),
         dict(K=4, L=2, B=1, blocks=2.5),
+        dict(K=4, L=2, B=1, blocks=0),
+        dict(K=2**20 + 1, L=2, B=2, blocks=1),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError) as config_error:
-        ModelConfig(**kwargs)
+        ModelConfig(**{"seed": 0, "blocks": 1, **kwargs})
     if kwargs.keys() == {"K", "L", "B"}:
         # A bad instance: the schedule and the bounds refuse it by the same rule.
         for build in (compute_schedule, bound_point):
@@ -183,7 +185,7 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def test_config_accepts_fractional_budget():
-    assert ModelConfig(K=2, L=2, B=0.5).B == 0.5
+    assert ModelConfig(K=2, L=2, B=0.5, seed=0, blocks=1).B == 0.5
 
 
 def _prefix_cells_per_pattern(law, stream, L):

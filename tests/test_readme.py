@@ -1,9 +1,10 @@
-"""The README's Python API block runs as documented."""
+"""The README's command-line and Python API blocks run as documented."""
 
 import contextlib
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,10 +13,63 @@ from pathlib import Path
 import pytest
 
 import bbp_secrecy
-from bbp_secrecy import bounds, estimators, model, oracle
+from bbp_secrecy import bounds, cli, estimators, model, oracle
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
+
+
+def _command_line_blocks() -> list[tuple[list[str], list[str]]]:
+    """(argv, shown output lines) of every "$ bbp-secrecy" block under "## Command line"."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("\n## ", 1)[0]
+    blocks = []
+    for body in re.findall(r"```text\n(.*?)```", section, re.S):
+        command, *shown = body.splitlines()
+        if command.startswith("$ bbp-secrecy "):
+            # Drop the shell's "; echo ..." and any "# ..." comment.
+            argv = shlex.split(command.split(";")[0], comments=True)[2:]
+            blocks.append((argv, shown))
+    return blocks
+
+
+COMMAND_LINE_BLOCKS = _command_line_blocks()
+
+
+def test_every_subcommand_has_a_command_line_block():
+    subcommands = next(a.choices for a in cli.build_parser()._actions if a.dest == "command")
+    assert sorted(argv[0] for argv, _ in COMMAND_LINE_BLOCKS) == sorted(subcommands)
+
+
+@pytest.mark.parametrize(
+    "argv, shown", COMMAND_LINE_BLOCKS, ids=[argv[0] for argv, _ in COMMAND_LINE_BLOCKS]
+)
+def test_command_line_block_matches_the_program(argv, shown, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # sweep writes its CSV to the working directory
+    monkeypatch.delenv("BBP_THREADS", raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    lines = out.getvalue().splitlines()
+    if shown[-1].startswith("exit "):  # the block echoes the exit status
+        *shown, status = shown
+        assert rc == int(status.split()[1])
+    else:
+        assert rc == 0
+    if "..." in shown:  # only the lines after "..." are shown
+        shown = shown[shown.index("...") + 1 :]
+        lines = lines[len(lines) - len(shown) :]
+    assert lines == shown
+
+
+def test_python_m_runs_the_bounds_block():
+    # __main__.py is reached only through "python -m bbp_secrecy".
+    argv, shown = next(block for block in COMMAND_LINE_BLOCKS if block[0][0] == "bounds")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "bbp_secrecy", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines() == shown
 
 
 def test_python_api_block_runs(monkeypatch):
@@ -89,7 +143,7 @@ def test_input_limits_match_the_constants():
     assert limits == [
         ("K", model.MAX_BEAMS),
         ("L", model.MAX_USES),
-        ("K", estimators.MAX_SIMULATED_BEAMS),
+        ("K", model.MAX_SIMULATED_BEAMS),
         ("K", oracle.MAX_K),
         ("L", oracle.MAX_L),
     ]
