@@ -104,24 +104,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     b_grid = [min(args.B_start + i * args.B_step, B_stop) for i in range(n_b)]
     for B in (b_grid[0], b_grid[-1]):  # the B range, before any row is built
         check_instance(args.K, B, L_values[0])
-    # One pass per effective budget min(B, K/2) at the longest L gives every
-    # row of that budget: c_j <= K/2, so every B >= K/2 has the same schedule,
-    # and the recursion runs forward, so every shorter L is a prefix of the
-    # pass.  Rows are written L-major, as they are listed, a column per L.
-    tails = {}  # effective budget -> ",outer,leakage,inner_raw,inner\n" per L
-    b_rows = []  # (B text, its budget's tails) per B
-    for B in b_grid:
-        b_eff = min(B, args.K / 2)
-        tail = tails.get(b_eff)
-        if tail is None:
-            pt = bound_point(args.K, b_eff, L_values[-1])
-            tails[b_eff] = tail = []
-            for L in L_values:  # inner = max(0.0, raw), so its text is raw's or "0.0"
-                outer, leak, raw, _ = pt.prefix(L)
-                text = repr(raw)
-                tail.append(f",{outer!r},{leak!r},{text},{text if raw > 0.0 else '0.0'}\n")
-        b_rows.append((_fmt_b(B), tail))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:  # before any row is built
+        # One pass per effective budget min(B, K/2) at the longest L gives every
+        # row of that budget: c_j <= K/2, so every B >= K/2 has the same schedule,
+        # and the recursion runs forward, so every shorter L is a prefix of the
+        # pass.  Rows are written L-major, as they are listed, a column per L.
+        tails = {}  # effective budget -> ",outer,leakage,inner_raw,inner\n" per L
+        b_rows = []  # (B text, its budget's tails) per B
+        for B in b_grid:
+            b_eff = min(B, args.K / 2)
+            tail = tails.get(b_eff)
+            if tail is None:
+                pt = bound_point(args.K, b_eff, L_values[-1])
+                tails[b_eff] = tail = []
+                for L in L_values:  # inner = max(0.0, raw), so its text is raw's or "0.0"
+                    outer, leak, raw, _ = pt.prefix(L)
+                    text = repr(raw)
+                    tail.append(f",{outer!r},{leak!r},{text},{text if raw > 0.0 else '0.0'}\n")
+            b_rows.append((_fmt_b(B), tail))
         fh.write("K,L,B,outer,leakage,inner_raw,inner\n")
         for i, L in enumerate(L_values):
             head = f"{args.K},{L},"

@@ -30,7 +30,7 @@ schedule is built; anything larger is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -181,25 +181,24 @@ class ReportRow:
 
     abs_dev = property(lambda self: abs(self.closed - self.oracle))
 
-
-@dataclass
-class T3Adjudication:
-    applicable: bool
-    oracle_value: float = 0.0
-    variant_values: dict[str, float] = field(default_factory=dict)
-    matching: list[str] = field(default_factory=list)
-    closest: str | None = None
+    def line(self, status: str) -> str:
+        return (f"quantity={self.quantity} closed_form={self.closed:.12g} "
+                f"oracle={self.oracle:.12g} abs_dev={self.abs_dev:.3g} status={status}")
 
 
 @dataclass
 class VerificationReport:
-    """Closed-form vs exact-law comparison for the instance ``schedule`` carries."""
+    """Closed-form vs exact-law comparison for the instance ``schedule`` carries.
+
+    ``t3`` maps each T3 variant to its deep-prefix sum against the exact one,
+    in ``T3_VARIANTS`` order; it is empty for L <= 3, which has no deep prefixes.
+    """
 
     schedule: ExplorationSchedule
-    tol: float
     rows: list[ReportRow]
-    t3: T3Adjudication
+    t3: dict[str, ReportRow]
     notes: list[str]
+    tol = TOL  # not a field: every report uses TOL
 
     def failing(self) -> list[ReportRow]:
         """The non-informational rows not within tol, a NaN deviation among them."""
@@ -216,24 +215,13 @@ class VerificationReport:
         ]
         for r in self.rows:
             status = "ok" if r.abs_dev <= self.tol else "MISMATCH"
-            if r.informational:
-                status += " (informational)"
-            lines.append(
-                f"quantity={r.quantity} closed_form={r.closed:.12g} "
-                f"oracle={r.oracle:.12g} abs_dev={r.abs_dev:.3g} status={status}"
-            )
+            lines.append(r.line(status + " (informational)" if r.informational else status))
         lines.append("")
-        if self.t3.applicable:
-            for name, val in self.t3.variant_values.items():
-                lines.append(
-                    f"quantity=t3_sum[{name}] closed_form={val:.12g} "
-                    f"oracle={self.t3.oracle_value:.12g} "
-                    f"abs_dev={abs(val - self.t3.oracle_value):.3g} status=adjudication"
-                )
-            if self.t3.matching:
-                lines.append(f"t3_matching_variant={','.join(self.t3.matching)}")
-            else:
-                lines.append(f"t3_matching_variant=none (closest: {self.t3.closest})")
+        if self.t3:
+            lines += [r.line("adjudication") for r in self.t3.values()]
+            matching = ",".join(v for v, r in self.t3.items() if r.abs_dev <= self.tol)
+            closest = min(self.t3, key=lambda v: self.t3[v].abs_dev)  # the first, on a tie
+            lines.append(f"t3_matching_variant={matching or f'none (closest: {closest})'}")
         else:
             lines.append("t3_matching_variant=not_applicable (no deep prefixes for L <= 3)")
         if self.notes:
@@ -286,8 +274,8 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
     """Compare exact-law values against every closed-form quantity.
 
     Mismatches are report content, not errors.  The T3 coefficient
-    comparison is informational: the report states which variant matches the
-    exact deep-prefix contribution (within ``TOL``).
+    comparison is informational: the ``t3`` rows hold each variant's deep-prefix
+    sum against the exact one, and ``render`` names the variants within ``TOL``.
     """
     enum = exact_enumeration(K, B, L)
     sched, cells, denominator = enum.schedule, enum.eav_cells, enum.denominator
@@ -330,14 +318,9 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
         name = f"leakage_rate[t3={variant}]" if applicable else "leakage_rate"
         rows.append(ReportRow(name, pt.prefix(L)[1], leakage, applicable))
 
-    if applicable:
-        # Deep flips are 1/2 and H(1/2) = 1, so each adds its mass.
-        values = {v: left_sum(table[jk].mass for jk in deep) for v, table in zip(variants, tables)}
-        devs = {v: abs(value - oracle_value) for v, value in values.items()}
-        matching = [v for v, dev in devs.items() if dev <= TOL]
-        t3 = T3Adjudication(True, oracle_value, values, matching, min(devs, key=devs.get))
-    else:
-        t3 = T3Adjudication(False)
+    # Deep flips are 1/2 and H(1/2) = 1, so each adds its mass.
+    t3 = {v: ReportRow(f"t3_sum[{v}]", left_sum(table[jk].mass for jk in deep), oracle_value)
+          for v, table in zip(variants, tables)} if applicable else {}
 
     notes = _degeneracy_notes(sched, step_bad, mass_bad)
     if not sched.is_integral:
@@ -345,4 +328,4 @@ def verify_against_closed_forms(K: int, B: float, L: int) -> VerificationReport:
             f"the schedule is fractional; the exact law uses the floored schedule "
             f"{list(sched.c_int)}, as the simulator does"
         )
-    return VerificationReport(schedule=sched, tol=TOL, rows=rows, t3=t3, notes=notes)
+    return VerificationReport(schedule=sched, rows=rows, t3=t3, notes=notes)

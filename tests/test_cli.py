@@ -563,6 +563,14 @@ def test_empty_dump_path_exits_runtime(capsys):
     _assert_one_io_error(*run(capsys, *argv))
 
 
+def test_sweep_refuses_unopenable_out_before_any_row(tmp_path, capsys, monkeypatch):
+    calls = _count_bound_points(monkeypatch)
+    out_csv = tmp_path / "missing-dir" / "x.csv"
+    argv = ["sweep", "--K", "1024", "--L", "2,4,8,16,32", "--B-start", "0.5", "--B-step", "0.5"]
+    _assert_one_io_error(*run(capsys, *argv, "--out", str(out_csv)))
+    assert calls == []
+
+
 def test_worker_env_var_does_not_change_output(tmp_path, capsys, monkeypatch):
     # Three workers count batch-means groups 0..12, 13..25 and 26..39 of 10
     # blocks each; enough CPUs are reported that the worker cap keeps all three.

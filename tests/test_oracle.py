@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from bbp_secrecy import oracle
-from bbp_secrecy.bounds import bound_point, closed_forms
+from bbp_secrecy.bounds import T3_VARIANTS, bound_point, closed_forms
 from bbp_secrecy.estimators import _plug_in_rates, collect_stats
 from bbp_secrecy.model import (
     ModelConfig,
@@ -379,9 +379,7 @@ def test_a_nan_row_fails_the_verdict_and_is_listed():
     # failing() is the one tolerance rule: ok and the overall line read it,
     # so a NaN deviation cannot pass for a match nor drop out of the count.
     rows = [oracle.ReportRow("a", 0.5, 0.5), oracle.ReportRow("b", 0.5, math.nan)]
-    report = oracle.VerificationReport(
-        compute_schedule(8, 2, 2), oracle.TOL, rows, oracle.T3Adjudication(False), []
-    )
+    report = oracle.VerificationReport(compute_schedule(8, 2, 2), rows, {}, [])
     assert not report.ok
     assert report.failing() == rows[1:]
     assert report.render().endswith("overall: MISMATCH (1 of 2 quantities within 1e-12)")
@@ -390,15 +388,30 @@ def test_a_nan_row_fails_the_verdict_and_is_listed():
 def test_deep_term_adjudication_picks_state_summed():
     report = verify_against_closed_forms(8, 2, 4)
     t3 = report.t3
-    assert t3.applicable
-    assert t3.oracle_value == 0.03125
-    assert t3.variant_values["as_printed"] == 0.00390625
-    assert t3.variant_values["state_summed"] == 0.03125
-    assert t3.matching == ["state_summed"]
-    assert t3.closest == "state_summed"
+    assert list(t3) == list(T3_VARIANTS)
+    assert [row.quantity for row in t3.values()] == [f"t3_sum[{v}]" for v in T3_VARIANTS]
+    assert {row.oracle for row in t3.values()} == {0.03125}
+    assert t3["as_printed"].closed == 0.00390625
+    assert t3["state_summed"].closed == 0.03125
+    assert [v for v, row in t3.items() if row.abs_dev <= report.tol] == ["state_summed"]
+    assert "\nt3_matching_variant=state_summed\n" in report.render()
 
     shallow = verify_against_closed_forms(8, 2, 2)
-    assert not shallow.t3.applicable
+    assert shallow.t3 == {}
+
+
+def test_deep_term_adjudication_names_the_closest_when_none_matches():
+    # At (5, 1, 4) the exact deep sum is 0 and neither variant reaches it:
+    # as_printed gives 0.004 and state_summed 0.02, so as_printed is closest.
+    report = verify_against_closed_forms(5, 1, 4)
+    t3 = report.t3
+    assert {row.oracle for row in t3.values()} == {0.0}
+    assert (t3["as_printed"].closed, t3["state_summed"].closed) == (0.004, 0.02)
+    lines = report.render().splitlines()
+    assert "t3_matching_variant=none (closest: as_printed)" in lines
+    assert [l for l in lines if l.startswith("quantity=t3_sum[")] == [
+        row.line("adjudication") for row in t3.values()
+    ]
 
 
 @pytest.mark.parametrize("L,passes", [(4, 2), (3, 1)])

@@ -72,11 +72,10 @@ def test_python_m_runs_the_bounds_block():
     assert out.stdout.splitlines() == shown
 
 
-def test_python_api_block_runs(monkeypatch):
+def test_python_api_block_runs():
     text = README.read_text(encoding="utf-8")
     section = text.split("## Python API", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    monkeypatch.setenv("BBP_THREADS", "1")
     namespace: dict = {}
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
