@@ -35,7 +35,7 @@ import random
 from itertools import permutations
 from typing import Iterator, NamedTuple
 
-from .model import ExplorationSchedule
+from .model import ExplorationSchedule, check_simulated_beams
 
 _new = tuple.__new__  # skips a NamedTuple's generated __new__, about 0.3 us a call
 
@@ -100,6 +100,7 @@ class BlockTranscript(NamedTuple):
 
 
 def initial_policy_state(K: int) -> PolicyState:
+    check_simulated_beams(K)  # before the first step lists the K-beam pool
     return _new(PolicyState, (range(1, K + 1), [], None, 1, 0))
 
 
@@ -233,6 +234,7 @@ def simulate_block(schedule: ExplorationSchedule, rng: random.Random) -> BlockTr
     K, the budget B and the block length L are read from ``schedule``.
     ``draw_states`` and ``jcas_step`` are looked up once per block, so a
     wrapper installed before the call sees the state draw and every step.
+    K above ``MAX_SIMULATED_BEAMS`` raises ``ValueError`` before any pool is listed.
     """
     s_l, s_e = draw_states(schedule.K, rng)
 

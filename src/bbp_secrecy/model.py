@@ -142,6 +142,12 @@ def check_instance(K: int, B: float, L: int) -> None:
         raise ValueError(f"B={B!r} exceeds the number of beams K={K}")
 
 
+def check_simulated_beams(K: int) -> None:
+    """Raise ``ValueError`` if K exceeds ``MAX_SIMULATED_BEAMS``, the pool a block may list."""
+    if K > MAX_SIMULATED_BEAMS:
+        raise ValueError(f"simulation limited to K <= 2**20 = {MAX_SIMULATED_BEAMS}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """One simulation run, every field checked here: the (K, B, L) instance, seed, block count.
@@ -168,8 +174,7 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         check_instance(self.K, self.B, self.L)
-        if self.K > MAX_SIMULATED_BEAMS:
-            raise ValueError(f"simulation limited to K <= 2**20 = {MAX_SIMULATED_BEAMS}")
+        check_simulated_beams(self.K)
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not isinstance(self.blocks, int) or self.blocks < 1:

@@ -93,6 +93,19 @@ def test_draw_states_replays_randrange():
         assert mine.getstate() == ref.getstate()
 
 
+def test_simulate_block_refuses_oversize_pool_before_listing_it():
+    # ModelConfig's limit, with its message; a K-beam pool list would trace ~48 MiB.
+    schedule = compute_schedule(2**20 + 1, 2, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^simulation limited to K <= 2\*\*20 = 1048576$"):
+            simulate_block(schedule, random.Random(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+
+
 def test_first_probe_uses_first_schedule_entry():
     sched = compute_schedule(32, 8, 5)
     probe, state = jcas_step(initial_policy_state(32), 0, sched, random.Random(0))

@@ -1,5 +1,8 @@
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -8,23 +11,82 @@ tier1 = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tier1)
 
 
-def test_red_ids_read_only_the_short_summary():
-    lines = [
-        "FAILED printed by a test, not a summary line",
-        "=========================== short test summary info ============================",
-        "FAILED tests/test_a.py::test_x[2] - AssertionE...",
-        "FAILED tests/test_a.py::test_y",
-        "ERROR tests/test_b.py - ImportError: no module",
-        "ERROR tests/test_c.py::test_z - RuntimeError",
-        "17 failed, 917 passed in 67.48s (0:01:07)",
-    ]
-    assert tier1.red_ids(lines) == {
-        "tests/test_a.py::test_x[2]",
-        "tests/test_a.py::test_y",
-        "tests/test_b.py",
-        "tests/test_c.py::test_z",
-    }
-    assert tier1.red_ids(lines[:1] + lines[-1:]) == set()
+MINI_SUITE = {
+    "test_mini.py": """
+import pytest
+
+
+@pytest.fixture
+def broken():
+    raise RuntimeError("fixture error")
+
+
+def test_passes():
+    pass
+
+
+def test_fails():
+    assert False
+
+
+def test_fixture_error(broken):
+    pass
+
+
+@pytest.mark.parametrize("case", ["a - b"])
+def test_dash(case):
+    assert False
+""",
+    "test_import_error.py": "import no_such_module_for_the_mini_suite\n",
+}
+MINI_RED = {
+    "tests/test_mini.py::test_fails",
+    "tests/test_mini.py::test_fixture_error",
+    "tests/test_mini.py::test_dash[a - b]",
+    "tests/test_import_error.py",
+}
+
+
+def run_tool_on_mini_suite(checkout: Path, listed: list[str], **env: str):
+    """Run a copy of the tool in ``checkout`` over the mini-suite, in its own process."""
+    (checkout / "tools").mkdir(parents=True)
+    (checkout / "tests").mkdir()
+    (checkout / "tools" / "tier1.py").write_bytes((ROOT / "tools" / "tier1.py").read_bytes())
+    (checkout / "pyproject.toml").write_text('[tool.pytest.ini_options]\ntestpaths = ["tests"]\n')
+    for name, source in MINI_SUITE.items():
+        (checkout / "tests" / name).write_text(source)
+    (checkout / "tests" / "known_red.txt").write_text("".join(f"{t}\n" for t in listed))
+    environ = {k: v for k, v in os.environ.items() if k != "PYTEST_ADDOPTS"}
+    environ.update(PYTEST_DISABLE_PLUGIN_AUTOLOAD="1", **env)  # the mini-suite needs no plugin
+    return subprocess.run(
+        [sys.executable, str(checkout / "tools" / "tier1.py")],
+        cwd=checkout,
+        env=environ,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_tool_reads_the_red_set_from_pytest_reports(tmp_path):
+    # A failed call, a fixture error, an import error and an id holding " - ";
+    # the passing test is listed, so every red test and it are named.
+    run = run_tool_on_mini_suite(tmp_path, ["tests/test_mini.py::test_passes"])
+    lines = run.stdout.splitlines()
+    assert run.returncode == 1, run.stdout + run.stderr
+    new = {line.removeprefix("tier1: new failure: ") for line in lines if "new failure: " in line}
+    assert new == MINI_RED
+    assert "tier1: listed but not red: tests/test_mini.py::test_passes" in lines
+    assert lines[-1] == "tier1: 4 red, 1 listed: differ"
+
+
+def test_tool_passes_on_the_listed_set_and_stops_when_pytest_cannot_run(tmp_path):
+    run = run_tool_on_mini_suite(tmp_path / "listed", sorted(MINI_RED))
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines()[-1] == "tier1: 4 red, 4 listed: as listed"
+    run = run_tool_on_mini_suite(tmp_path / "usage", [], PYTEST_ADDOPTS="--no-such-flag")
+    assert run.returncode == 2
+    assert run.stdout.splitlines()[-1] == "tier1: pytest exited with status 4"
 
 
 def test_differences_name_new_failures_and_listed_tests_that_did_not_fail():

@@ -3,44 +3,46 @@
 
     python tools/tier1.py
 
-Runs ``python -m pytest -q --continue-on-collection-errors`` from the root of
-the checkout with ``src/`` put first on ``PYTHONPATH``, as ROADMAP's Tier-1
-command does, and adds only ``-rfE`` so that pytest names every failed and
-errored test.  It prints the suite's output, then each new failure and each
-listed test that did not fail.  The exit status is 0 only when the red set
-equals the list, 1 when they differ and 2 when pytest could not run the suite.
+Runs pytest in this process from the root of the checkout, with ROADMAP's
+Tier-1 options ``-q --continue-on-collection-errors`` (``pyproject.toml``
+puts ``src/`` first on the path) and ``-rfE`` so that the reader sees every
+failed and errored test named.  The red set is taken from pytest's own
+reports: the node id of every failed setup, call or teardown and of every
+collection error.  The tool prints each new failure and each listed test
+that did not fail.  The exit status is 0 only when the red set equals the
+list, 1 when they differ and 2 when pytest could not run the suite.
 No test is skipped, deselected or edited.
 """
 
 from __future__ import annotations
 
 import os
-import re
-import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 KNOWN_RED = ROOT / "tests" / "known_red.txt"
-# pytest's short summary: "FAILED <node id> - <message>" or "ERROR <node id>".
-SUMMARY = re.compile(r"(?:FAILED|ERROR) (.+?)(?: - .*)?$")
+
+
+class RedSet:
+    """pytest plugin that collects the node ids of failed reports in ``ids``."""
+
+    def __init__(self) -> None:
+        self.ids: set[str] = set()
+
+    def pytest_runtest_logreport(self, report) -> None:
+        if report.failed:
+            self.ids.add(report.nodeid)
+
+    pytest_collectreport = pytest_runtest_logreport  # a module that fails to import
 
 
 def known_red(path: Path = KNOWN_RED) -> set[str]:
     """The listed node ids, one a line; blank lines and ``#`` comments are skipped."""
     lines = (line.strip() for line in path.read_text(encoding="utf-8").splitlines())
     return {line for line in lines if line and not line.startswith("#")}
-
-
-def red_ids(lines: list[str]) -> set[str]:
-    """Node ids of the failed and errored tests named in pytest's short summary.
-
-    Only lines after the summary's header are read, so a test's own output
-    cannot pass for a summary line.
-    """
-    heads = [i for i, line in enumerate(lines) if "short test summary info" in line]
-    tail = lines[heads[-1] + 1 :] if heads else []
-    return {m[1] for m in map(SUMMARY.match, tail) if m}
 
 
 def differences(red: set[str], known: set[str]) -> list[str]:
@@ -52,24 +54,16 @@ def differences(red: set[str], known: set[str]) -> list[str]:
 
 def main() -> int:
     known = known_red()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-rfE"]
-    lines = []
-    with subprocess.Popen(
-        cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
-    ) as proc:
-        for line in proc.stdout:
-            sys.stdout.write(line)
-            lines.append(line.rstrip("\n"))
-    if proc.returncode not in (0, 1):  # interrupted, internal or usage error, or no tests
-        print(f"tier1: pytest exited with status {proc.returncode}")
+    red = RedSet()
+    os.chdir(ROOT)  # pytest reads pyproject.toml's testpaths from the working directory
+    status = int(pytest.main(["-q", "--continue-on-collection-errors", "-rfE"], plugins=[red]))
+    if status not in (0, 1):  # interrupted, internal or usage error, or no tests
+        print(f"tier1: pytest exited with status {status}")
         return 2
-    red = red_ids(lines)
-    diff = differences(red, known)
+    diff = differences(red.ids, known)
     for line in diff:
         print(f"tier1: {line}")
-    print(f"tier1: {len(red)} red, {len(known)} listed: {'differ' if diff else 'as listed'}")
+    print(f"tier1: {len(red.ids)} red, {len(known)} listed: {'differ' if diff else 'as listed'}")
     return 1 if diff else 0
 
 
